@@ -9,6 +9,7 @@ validation error, 2 data error. Diagnostics go to stderr as JSON lines.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -19,59 +20,10 @@ from typing import Dict, List
 import numpy as np
 
 from . import containers, corpus, dsp, metrics, sampler, toylm, tuner
-from .codec import (CodecConfig, RvqCodec, TokenSequence, decode_partial,
-                    quantization_report, train_codebooks)
+from .codec import CodecConfig, RvqCodec, TokenSequence, decode_partial, train_codebooks
 from .codec import decode as codec_decode
 from .codec import encode as codec_encode
 from .errors import DataError, ValidationError
-
-# Configuration keys accepted in key=value files and as CLI flags;
-# precedence is flags > file > preset > defaults.
-_CONFIG_SCHEMA = {
-    "codebook_size": int,
-    "num_quantizers": int,
-    "hop": int,
-    "sample_rate": int,
-    "frame_len": int,
-    "n_mels": int,
-    "window": str,
-    "kmeans_iters": int,
-    "commitment_weight": float,
-    "codebook_weight": float,
-    "mel_loss_weight": float,
-    "k": int,
-    "p": float,
-    "temperature": float,
-    "order": int,
-    "alpha": float,
-    "n_trials": int,
-    "max_len": int,
-    "gl_iterations": int,
-    "n_coeffs": int,
-}
-
-_DEFAULTS = {
-    "codebook_size": 1024,
-    "num_quantizers": 2,
-    "hop": dsp.DEFAULT_HOP,
-    "sample_rate": dsp.DEFAULT_SAMPLE_RATE,
-    "frame_len": dsp.DEFAULT_FRAME_LEN,
-    "n_mels": dsp.DEFAULT_N_MELS,
-    "window": "hann",
-    "kmeans_iters": 50,
-    "commitment_weight": 2.0,
-    "codebook_weight": 8.0,
-    "mel_loss_weight": 15.0,
-    "k": 50,
-    "p": 0.95,
-    "temperature": 1.0,
-    "order": 3,
-    "alpha": 0.1,
-    "n_trials": 300,
-    "max_len": 500,
-    "gl_iterations": 60,
-    "n_coeffs": 13,
-}
 
 # One-flag reproductions of the submitted configurations: the two-stage
 # 16 kHz vocoder and the three single-stage acoustic systems with their
@@ -89,41 +41,38 @@ PRESETS = {
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Resolved settings shared by every subcommand.
-
-    The constructor cross-checks the fields the modules must agree on:
-    hop, sample rate, and the feature dimensionality.
-    """
+    """Resolved settings shared by every subcommand."""
 
     codec: CodecConfig
     sampling: sampler.SamplingParams
     analysis: dsp.AnalysisConfig
-    order: int = 3
-    alpha: float = 0.1
+    order: int = toylm.DEFAULT_ORDER
+    alpha: float = toylm.DEFAULT_ALPHA
     n_trials: int = 300
-    max_len: int = 500
-    gl_iterations: int = 60
+    max_len: int = sampler.DEFAULT_MAX_LEN
+    gl_iterations: int = dsp.DEFAULT_GL_ITERATIONS
     n_coeffs: int = 13
 
     def __post_init__(self):
-        if self.codec.hop != self.analysis.hop:
-            raise ValidationError(
-                f"codec hop {self.codec.hop} != analysis hop {self.analysis.hop}")
-        if self.codec.sample_rate != self.analysis.sample_rate:
-            raise ValidationError(
-                f"codec rate {self.codec.sample_rate} != analysis rate "
-                f"{self.analysis.sample_rate}")
-        if self.codec.feature_dim != self.analysis.n_mels:
-            raise ValidationError(
-                f"codec feature_dim {self.codec.feature_dim} != n_mels "
-                f"{self.analysis.n_mels}")
         if self.order < 1 or self.alpha <= 0:
             raise ValidationError("order must be >= 1 and alpha > 0")
-        if self.n_trials < 1 or self.max_len < 1:
-            raise ValidationError("n_trials and max_len must be >= 1")
+        if self.n_trials < 1 or self.max_len < 1 or self.gl_iterations < 1:
+            raise ValidationError("n_trials, max_len and gl_iterations must be >= 1")
         if not (1 <= self.n_coeffs <= self.analysis.n_mels):
             raise ValidationError(
                 f"n_coeffs must be in [1, {self.analysis.n_mels}], got {self.n_coeffs}")
+
+
+_SETTINGS_CLASSES = (CodecConfig, dsp.AnalysisConfig, sampler.SamplingParams, PipelineConfig)
+
+# Configuration keys accepted in key=value files and as CLI flags: the
+# defaulted fields of the settings classes, minus those a user does not set
+# (the seed has its own flag, feature_dim follows n_mels, the mel band edges
+# stay at 0 Hz and Nyquist). Precedence is flags > file > preset > defaults.
+_DEFAULTS = {f.name: f.default for cls in _SETTINGS_CLASSES for f in dataclasses.fields(cls)
+             if f.default is not dataclasses.MISSING
+             and f.name not in ("seed", "feature_dim", "fmin", "fmax")}
+_CONFIG_SCHEMA = {key: type(value) for key, value in _DEFAULTS.items()}
 
 
 def _diag(event: str, **fields) -> None:
@@ -175,22 +124,18 @@ def resolve_settings(args) -> Dict:
     return values
 
 
+def _fill(cls, values: Dict, **extra):
+    """Construct a settings class from the entries of `values` it has fields for."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{k: v for k, v in values.items() if k in names}, **extra)
+
+
 def build_pipeline_config(args, seed: int) -> PipelineConfig:
     v = resolve_settings(args)
-    codec_cfg = CodecConfig(
-        codebook_size=v["codebook_size"], num_quantizers=v["num_quantizers"],
-        hop=v["hop"], sample_rate=v["sample_rate"], feature_dim=v["n_mels"],
-        commitment_weight=v["commitment_weight"], codebook_weight=v["codebook_weight"],
-        mel_loss_weight=v["mel_loss_weight"], kmeans_iters=v["kmeans_iters"],
-        seed=seed)
-    analysis_cfg = dsp.AnalysisConfig(
-        sample_rate=v["sample_rate"], frame_len=v["frame_len"], hop=v["hop"],
-        window=v["window"], n_mels=v["n_mels"])
-    params = sampler.SamplingParams(k=v["k"], p=v["p"], temperature=v["temperature"])
-    return PipelineConfig(codec=codec_cfg, sampling=params, analysis=analysis_cfg,
-                          order=v["order"], alpha=v["alpha"], n_trials=v["n_trials"],
-                          max_len=v["max_len"], gl_iterations=v["gl_iterations"],
-                          n_coeffs=v["n_coeffs"])
+    return _fill(PipelineConfig, v,
+                 codec=_fill(CodecConfig, v, feature_dim=v["n_mels"], seed=seed),
+                 sampling=_fill(sampler.SamplingParams, v),
+                 analysis=_fill(dsp.AnalysisConfig, v))
 
 
 def resolve_seed(args) -> int:
@@ -230,10 +175,19 @@ def _analysis_for_codec(codec: RvqCodec, cfg: PipelineConfig) -> dsp.AnalysisCon
         n_mels=codec.config.feature_dim)
 
 
+def _read_at_rate(path: str, sample_rate: int) -> dsp.Waveform:
+    return dsp.resample(dsp.read_wav(path), sample_rate)
+
+
 def _features_for_entry(path: str, analysis: dsp.AnalysisConfig) -> dsp.FeatureMatrix:
-    wave = dsp.read_wav(path)
-    wave = dsp.resample(wave, analysis.sample_rate)
-    return dsp.analyze(wave, analysis)
+    return dsp.analyze(_read_at_rate(path, analysis.sample_rate), analysis)
+
+
+def _cepstrum_and_f0(path: str, cfg: PipelineConfig) -> tuple:
+    """Mel cepstrum and F0 track of one WAV, read and resampled once."""
+    wave = _read_at_rate(path, cfg.analysis.sample_rate)
+    cep = dsp.mel_cepstrum(dsp.analyze(wave, cfg.analysis), cfg.n_coeffs)
+    return cep, dsp.estimate_f0(wave, hop=cfg.analysis.hop)
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +217,8 @@ def cmd_train_codec(args) -> int:
 
     for stage, mse in enumerate(codec.stage_train_mse):
         print(f"stage {stage} train mse: {mse:.6g}")
-    stacked = dsp.FeatureMatrix(
-        data=np.concatenate([f.data for f in features], axis=0),
-        frame_rate=features[0].frame_rate, kind=features[0].kind)
-    print(quantization_report(codec, stacked))
     _diag("codec_written", path=args.out, utterances=len(filtered),
-          frames=int(stacked.num_frames))
+          frames=sum(f.num_frames for f in features))
     return 0
 
 
@@ -295,10 +245,7 @@ def cmd_decode(args) -> int:
     decoded = codec_decode(codec, seq)
     if args.features_out:
         containers.save_features(args.features_out, decoded)
-    if decoded.num_frames == 0:
-        wave = dsp.Waveform(np.zeros(0), analysis.sample_rate)
-    else:
-        wave = dsp.griffin_lim(decoded, analysis, iterations=cfg.gl_iterations)
+    wave = dsp.griffin_lim(decoded, analysis, iterations=cfg.gl_iterations)
     dsp.write_wav(args.out, wave)
     print(f"decoded {decoded.num_frames} frames -> {len(wave)} samples")
 
@@ -349,11 +296,8 @@ def cmd_generate(args) -> int:
         sequences.append(seq)
         stem = os.path.join(args.out_dir, f"gen_{i:03d}")
         containers.save_tokens(stem + ".dust", seq)
-        decoded = decode_partial(codec, seq)
-        if decoded.num_frames == 0:
-            wave = dsp.Waveform(np.zeros(0), analysis.sample_rate)
-        else:
-            wave = dsp.griffin_lim(decoded, analysis, iterations=cfg.gl_iterations)
+        wave = dsp.griffin_lim(decode_partial(codec, seq), analysis,
+                               iterations=cfg.gl_iterations)
         dsp.write_wav(stem + ".wav", wave)
         print(f"gen_{i:03d}: frames={seq.num_frames} natural={result.natural}")
 
@@ -417,18 +361,9 @@ def cmd_evaluate(args) -> int:
 
     rows = []
     for ref_entry, syn_entry in pairs:
-        ref_feats = _features_for_entry(_audio_path(ref_base, ref_entry), cfg.analysis)
-        syn_feats = _features_for_entry(_audio_path(syn_base, syn_entry), cfg.analysis)
-        ref_cep = dsp.mel_cepstrum(ref_feats, cfg.n_coeffs)
-        syn_cep = dsp.mel_cepstrum(syn_feats, cfg.n_coeffs)
+        ref_cep, ref_f0 = _cepstrum_and_f0(_audio_path(ref_base, ref_entry), cfg)
+        syn_cep, syn_f0 = _cepstrum_and_f0(_audio_path(syn_base, syn_entry), cfg)
         mcd_db = metrics.mcd(ref_cep, syn_cep)
-
-        ref_wave = dsp.resample(dsp.read_wav(_audio_path(ref_base, ref_entry)),
-                                cfg.analysis.sample_rate)
-        syn_wave = dsp.resample(dsp.read_wav(_audio_path(syn_base, syn_entry)),
-                                cfg.analysis.sample_rate)
-        ref_f0 = dsp.estimate_f0(ref_wave, hop=cfg.analysis.hop)
-        syn_f0 = dsp.estimate_f0(syn_wave, hop=cfg.analysis.hop)
         f0_result = metrics.log_f0_rmse(ref_f0, syn_f0)
         if f0_result.no_overlap:
             _diag("warning", message=f"{ref_entry.id}: no shared voiced frames")
@@ -553,8 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated style tags to drop")
     _add_common(p)
     _add_overrides(p, ["codebook_size", "num_quantizers", "hop", "sample_rate",
-                       "frame_len", "n_mels", "window", "kmeans_iters",
-                       "commitment_weight", "codebook_weight", "mel_loss_weight"])
+                       "frame_len", "n_mels", "window", "kmeans_iters"])
     p.set_defaults(func=cmd_train_codec)
 
     p = sub.add_parser("encode", help="audio to token file")
@@ -598,15 +532,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("lm")
     p.add_argument("codec")
     p.add_argument("--out", required=True, help="JSON-lines trial history")
-    p.add_argument("--k-min", type=int, default=5)
-    p.add_argument("--k-max", type=int, default=300)
-    p.add_argument("--p-min", type=float, default=0.1)
-    p.add_argument("--p-max", type=float, default=1.0)
-    p.add_argument("--temp-min", type=float, default=0.1)
-    p.add_argument("--temp-max", type=float, default=1.0)
+    space = tuner.SearchSpace()
+    p.add_argument("--k-min", type=int, default=space.k_range[0])
+    p.add_argument("--k-max", type=int, default=space.k_range[1])
+    p.add_argument("--p-min", type=float, default=space.p_range[0])
+    p.add_argument("--p-max", type=float, default=space.p_range[1])
+    p.add_argument("--temp-min", type=float, default=space.temp_range[0])
+    p.add_argument("--temp-max", type=float, default=space.temp_range[1])
     p.add_argument("--dev-count", type=int, default=4,
                    help="generations scored per trial")
-    p.add_argument("--importance-bins", type=int, default=10)
+    p.add_argument("--importance-bins", type=int, default=tuner.DEFAULT_IMPORTANCE_BINS)
     _add_common(p)
     _add_overrides(p, ["n_trials", "max_len"])
     p.set_defaults(func=cmd_tune)

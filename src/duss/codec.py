@@ -1,31 +1,29 @@
 """Residual vector quantizer: staged k-means codebook learning, encode/decode,
-and quantization-loss reporting."""
+and per-stage quantization-error reporting."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
-from .dsp import FeatureKind, FeatureMatrix
-from .errors import DataError, ValidationError
+from .dsp import (DEFAULT_HOP, DEFAULT_N_MELS, DEFAULT_SAMPLE_RATE, FeatureKind,
+                  FeatureMatrix)
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
 class CodecConfig:
-    """Quantizer configuration; weights are reporting weights for the
-    quantization diagnostic, not training knobs."""
+    """Quantizer configuration: codebook shape, frame timing and the k-means
+    iteration budget."""
 
     codebook_size: int = 1024
     num_quantizers: int = 2
-    hop: int = 480
-    sample_rate: int = 16000
-    feature_dim: int = 80
-    commitment_weight: float = 2.0
-    codebook_weight: float = 8.0
-    mel_loss_weight: float = 15.0
+    hop: int = DEFAULT_HOP
+    sample_rate: int = DEFAULT_SAMPLE_RATE
+    feature_dim: int = DEFAULT_N_MELS
     kmeans_iters: int = 50
     seed: int = 0
 
@@ -36,9 +34,6 @@ class CodecConfig:
             raise ValidationError(f"num_quantizers must be >= 1, got {self.num_quantizers}")
         if self.hop < 1 or self.sample_rate < 1 or self.feature_dim < 1:
             raise ValidationError("hop, sample_rate, and feature_dim must be positive")
-        for name in ("commitment_weight", "codebook_weight", "mel_loss_weight"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
         if self.kmeans_iters < 1:
             raise ValidationError(f"kmeans_iters must be >= 1, got {self.kmeans_iters}")
 
@@ -263,43 +258,22 @@ def decode_partial(codec: RvqCodec, tokens: TokenSequence) -> FeatureMatrix:
 
 
 def decode(codec: RvqCodec, tokens: TokenSequence) -> FeatureMatrix:
-    """Sum the selected code vectors per frame across stages."""
+    """Sum the selected code vectors per frame across all stages."""
     if tokens.num_stages != len(codec.stages):
         raise ValidationError(
             f"token stages {tokens.num_stages} != codec stages {len(codec.stages)}")
-    if tokens.vocab_size != codec.config.codebook_size:
-        raise ValidationError(
-            f"token vocab {tokens.vocab_size} != codebook size {codec.config.codebook_size}")
-    if tokens.tokens.size and tokens.tokens.max() >= codec.config.codebook_size:
-        raise DataError(f"token id {tokens.tokens.max()} out of range")
-    out = np.zeros((tokens.num_frames, codec.config.feature_dim))
-    for s, cb in enumerate(codec.stages):
-        out += cb.vectors[tokens.tokens[s]]
-    return FeatureMatrix(data=out, frame_rate=tokens.frame_rate, kind=FeatureKind.DECODED)
+    return decode_partial(codec, tokens)
 
 
 @dataclass(frozen=True)
 class QuantizationReport:
-    """Mean quantization error split into the two reported loss terms."""
+    """Mean squared quantization residual left after each stage."""
 
-    commitment: float
-    codebook: float
-    weighted_total: float
     per_stage_mse: tuple
-
-    def __str__(self):
-        stages = ", ".join(f"{m:.6g}" for m in self.per_stage_mse)
-        return (f"commitment={self.commitment:.6g} codebook={self.codebook:.6g} "
-                f"weighted_total={self.weighted_total:.6g} per_stage_mse=[{stages}]")
 
 
 def quantization_report(codec: RvqCodec, features: FeatureMatrix) -> QuantizationReport:
-    """Evaluate the weighted quantization objective on the given frames.
-
-    Commitment and codebook terms are numerically equal here (both measure
-    mean ||x - q(x)||^2); they are reported separately to mirror the two
-    configured weights.
-    """
+    """Per-stage mean ||x - q(x)||^2 of the given frames under the codec."""
     residual = features.data.copy()
     per_stage = []
     for cb in codec.stages:
@@ -307,7 +281,4 @@ def quantization_report(codec: RvqCodec, features: FeatureMatrix) -> Quantizatio
         residual -= cb.vectors[assign]
         per_stage.append(float(np.mean(np.sum(residual * residual, axis=1)))
                          if residual.size else 0.0)
-    mse = per_stage[-1] if per_stage else 0.0
-    total = codec.config.commitment_weight * mse + codec.config.codebook_weight * mse
-    return QuantizationReport(commitment=mse, codebook=mse, weighted_total=total,
-                              per_stage_mse=tuple(per_stage))
+    return QuantizationReport(per_stage_mse=tuple(per_stage))

@@ -8,6 +8,8 @@ Two formats:
   trained codec, 6 is an n-gram model.
 * "DUST": u32 version, u32 V, u32 Q, u64 T, frame rate as two u64, then
   Q x T u32 tokens row-major by stage.
+
+Both formats are at version 2; files of any other version are rejected.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .toylm import NgramModel
 
 MAGIC_DUSS = b"DUSS"
 MAGIC_DUST = b"DUST"
-VERSION = 1
+VERSION = 2
 
 KIND_F0 = 4
 KIND_CODEC = 5
@@ -139,7 +141,7 @@ def load_f0(path) -> F0Track:
 # ---------------------------------------------------------------------------
 # Codecs
 
-_CODEC_FIXED = struct.Struct("<IIIIIdddIQ")
+_CODEC_FIXED = struct.Struct("<IIIIIIQ")
 
 
 def save_codec(path, codec: RvqCodec) -> None:
@@ -152,8 +154,7 @@ def save_codec(path, codec: RvqCodec) -> None:
                               cfg.num_quantizers, cfg.feature_dim, num, den))
         fh.write(_CODEC_FIXED.pack(
             cfg.codebook_size, cfg.num_quantizers, cfg.hop, cfg.sample_rate,
-            cfg.feature_dim, cfg.commitment_weight, cfg.codebook_weight,
-            cfg.mel_loss_weight, cfg.kmeans_iters, cfg.seed))
+            cfg.feature_dim, cfg.kmeans_iters, cfg.seed))
         for stage in codec.stages:
             fh.write(np.ascontiguousarray(stage.vectors, dtype="<f8").tobytes())
             fh.write(np.ascontiguousarray(stage.usage_counts, dtype="<u8").tobytes())
@@ -164,17 +165,14 @@ def save_codec(path, codec: RvqCodec) -> None:
 
 def load_codec(path) -> RvqCodec:
     reader, _, t, d, _ = _open_duss(path, expect_kind=KIND_CODEC)
-    (v, q, hop, sample_rate, feature_dim, commitment, codebook_w, mel_w,
-     kmeans_iters, seed) = reader.take_struct(_CODEC_FIXED)
+    v, q, hop, sample_rate, feature_dim, kmeans_iters, seed = reader.take_struct(_CODEC_FIXED)
     if (t, d) != (q, feature_dim):
         raise DataError(f"{path}: header ({t}, {d}) disagrees with codec "
                         f"config ({q}, {feature_dim})")
     try:
         cfg = CodecConfig(codebook_size=v, num_quantizers=q, hop=hop,
                           sample_rate=sample_rate, feature_dim=feature_dim,
-                          commitment_weight=commitment, codebook_weight=codebook_w,
-                          mel_loss_weight=mel_w, kmeans_iters=kmeans_iters,
-                          seed=seed)
+                          kmeans_iters=kmeans_iters, seed=seed)
     except ValidationError as exc:
         raise DataError(f"{path}: invalid codec config: {exc}")
     stages = []

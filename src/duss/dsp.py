@@ -22,11 +22,14 @@ from .errors import DataError, ValidationError
 LOG_EPS = 1e-10
 
 # Default analysis settings: 2048-sample Hann frames, hop 480 at 16 kHz
-# (frame rate 100/3 Hz; the same hop at 24 kHz gives 50 Hz), 80 mel bands.
+# (frame rate 100/3 Hz; the same hop at 24 kHz gives 50 Hz), 80 mel bands,
+# 60 Griffin-Lim iterations.
 DEFAULT_SAMPLE_RATE = 16000
 DEFAULT_FRAME_LEN = 2048
 DEFAULT_HOP = 480
+DEFAULT_WINDOW = "hann"
 DEFAULT_N_MELS = 80
+DEFAULT_GL_ITERATIONS = 60
 
 _WINDOW_NAMES = ("hann", "hamming", "rectangular")
 
@@ -144,7 +147,7 @@ class AnalysisConfig:
     sample_rate: int = DEFAULT_SAMPLE_RATE
     frame_len: int = DEFAULT_FRAME_LEN
     hop: int = DEFAULT_HOP
-    window: str = "hann"
+    window: str = DEFAULT_WINDOW
     n_mels: int = DEFAULT_N_MELS
     fmin: float = 0.0
     fmax: Optional[float] = None  # None means Nyquist
@@ -207,7 +210,7 @@ def _stft_array(x: np.ndarray, frame_len: int, hop: int, window: str) -> np.ndar
 
 
 def stft(w: Waveform, frame_len: int = DEFAULT_FRAME_LEN, hop: int = DEFAULT_HOP,
-         window: str = "hann") -> Stft:
+         window: str = DEFAULT_WINDOW) -> Stft:
     """Short-time Fourier transform of a waveform.
 
     Frames are centered with reflect padding, so the output has
@@ -239,7 +242,7 @@ def _istft_array(frames_spec: np.ndarray, frame_len: int, hop: int, window: str)
     return out / np.maximum(norm, 1e-12)
 
 
-def istft(data: np.ndarray, frame_len: int, hop: int, window: str = "hann",
+def istft(data: np.ndarray, frame_len: int, hop: int, window: str = DEFAULT_WINDOW,
           length: Optional[int] = None) -> np.ndarray:
     """Invert an STFT matrix back to samples.
 
@@ -426,7 +429,8 @@ def spectral_convergence(est_mag: np.ndarray, target_mag: np.ndarray) -> float:
     return float(np.linalg.norm(est_mag - target_mag) / denom)
 
 
-def griffin_lim(mel: FeatureMatrix, cfg: AnalysisConfig, iterations: int = 60,
+def griffin_lim(mel: FeatureMatrix, cfg: AnalysisConfig,
+                iterations: int = DEFAULT_GL_ITERATIONS,
                 return_errors: bool = False):
     """Reconstruct a waveform from log-mel features by iterative phase estimation.
 
@@ -448,7 +452,6 @@ def griffin_lim(mel: FeatureMatrix, cfg: AnalysisConfig, iterations: int = 60,
     target_mag = np.sqrt(mel_to_linear(np.exp(mel.data), fb))
 
     num_frames = mel.num_frames
-    length = num_frames * cfg.hop
     errors = []
     if num_frames == 0:
         wav = Waveform(np.zeros(0), cfg.sample_rate)
@@ -464,12 +467,7 @@ def griffin_lim(mel: FeatureMatrix, cfg: AnalysisConfig, iterations: int = 60,
         errors.append(spectral_convergence(np.abs(reanalyzed), target_mag))
         phase = np.exp(1j * np.angle(reanalyzed))
         spec = target_mag * phase
-    y = _istft_array(spec, cfg.frame_len, cfg.hop, cfg.window)
-    left = cfg.frame_len // 2
-    out = y[left:left + length]
-    if len(out) < length:
-        out = np.concatenate([out, np.zeros(length - len(out))])
-    wav = Waveform(out, cfg.sample_rate)
+    wav = Waveform(istft(spec, cfg.frame_len, cfg.hop, cfg.window), cfg.sample_rate)
     return (wav, np.array(errors)) if return_errors else wav
 
 

@@ -9,10 +9,15 @@ from fractions import Fraction
 import numpy as np
 
 from .codec import TokenSequence
+from .dsp import DEFAULT_HOP, DEFAULT_SAMPLE_RATE
 from .errors import ValidationError
 
-# Default frame rate attached to generated sequences: hop 480 at 16 kHz.
-DEFAULT_FRAME_RATE = Fraction(100, 3)
+# Default frame rate attached to generated sequences: the default analysis hop
+# at the default sample rate.
+DEFAULT_FRAME_RATE = Fraction(DEFAULT_SAMPLE_RATE, DEFAULT_HOP)
+
+# Default cap on generated tokens per sequence.
+DEFAULT_MAX_LEN = 500
 
 # Slack for the nucleus cumulative-probability comparison, so inputs given in
 # short decimals (0.5 + 0.3 vs 0.8) behave as they would in exact arithmetic.
@@ -23,9 +28,9 @@ NUCLEUS_TOL = 1e-12
 class SamplingParams:
     """The (k, p, temperature) triple the tuner searches over."""
 
-    k: int
-    p: float
-    temperature: float
+    k: int = 50
+    p: float = 0.95
+    temperature: float = 1.0
 
     def __post_init__(self):
         if self.k < 1:
@@ -37,14 +42,19 @@ class SamplingParams:
 
 
 def apply_temperature(logits: np.ndarray, temperature: float) -> np.ndarray:
-    """Temperature softmax with max-subtraction for stability."""
+    """Temperature softmax with max-subtraction for stability.
+
+    The max is subtracted before dividing, so the largest scaled logit is
+    exactly 0 and the others are <= 0, whatever the temperature.
+    """
     if temperature <= 0:
         raise ValidationError(f"temperature must be positive, got {temperature}")
     logits = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(logits)):
         raise ValidationError("logits must be finite")
-    scaled = logits / temperature
-    scaled = scaled - scaled.max()
+    # Flooring the differences at -1e300 * temperature keeps a tiny
+    # temperature from overflowing the division; exp() of the floor is 0.
+    scaled = np.maximum(logits - logits.max(), -1e300 * temperature) / temperature
     exp = np.exp(scaled)
     return exp / exp.sum()
 

@@ -16,6 +16,9 @@ from .errors import ValidationError
 
 Context = Tuple[int, ...]
 
+DEFAULT_ORDER = 3
+DEFAULT_ALPHA = 0.1
+
 
 @dataclass
 class NgramModel:
@@ -45,7 +48,8 @@ class NgramModel:
         return logits(self, context)
 
 
-def train_ngram(corpora: Sequence[TokenSequence], n: int = 3, alpha: float = 0.1,
+def train_ngram(corpora: Sequence[TokenSequence], n: int = DEFAULT_ORDER,
+                alpha: float = DEFAULT_ALPHA,
                 vocab_size: Optional[int] = None) -> NgramModel:
     """Accumulate context counts over token corpora.
 

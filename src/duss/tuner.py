@@ -12,13 +12,15 @@ import numpy as np
 
 from .codec import RvqCodec, TokenSequence, decode_partial
 from .errors import DataError, ValidationError
-from .sampler import SamplingParams, generate
+from .sampler import DEFAULT_MAX_LEN, SamplingParams, generate
 
 PARAM_NAMES = ("k", "p", "temperature")
 
 # Score assigned to an empty generation by the built-in proxy scorer.
 EMPTY_SEQUENCE_PENALTY = 100.0
 TRUNCATION_PENALTY = 10.0
+
+DEFAULT_IMPORTANCE_BINS = 10
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,7 @@ def sample_params(space: SearchSpace, rng: np.random.Generator) -> SamplingParam
 
 
 def tune(space: SearchSpace, scorer: QualityScorer, model, dev_contexts: Sequence,
-         n_trials: int, seed: int, max_len: int = 500) -> TuningHistory:
+         n_trials: int, seed: int, max_len: int = DEFAULT_MAX_LEN) -> TuningHistory:
     """Uniform random search maximizing the mean scorer value over dev contexts.
 
     Per trial the master generator draws (k, p, temperature, trial seed) in
@@ -163,7 +165,7 @@ def tune(space: SearchSpace, scorer: QualityScorer, model, dev_contexts: Sequenc
     return TuningHistory(trials=trials)
 
 
-def param_importance(history: TuningHistory, bins: int = 10) -> dict:
+def param_importance(history: TuningHistory, bins: int = DEFAULT_IMPORTANCE_BINS) -> dict:
     """Normalized variance of bin-mean scores per parameter.
 
     Trials are binned by each parameter's value into equal-width bins over

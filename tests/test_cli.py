@@ -2,6 +2,7 @@
 main(), checking outputs, exit codes, and determinism."""
 
 import argparse
+import dataclasses
 import json
 import os
 import shutil
@@ -118,6 +119,33 @@ class TestSettings:
         assert values["codebook_size"] == 4
         assert values["temperature"] == 0.25
 
+    def test_every_key_reaches_pipeline_config(self, tmp_path):
+        """Each settings key, set in a config file, lands in every part of
+        the built config that has a field of that name."""
+        values = {"codebook_size": 8, "num_quantizers": 3, "hop": 240,
+                  "sample_rate": 24000, "kmeans_iters": 7, "frame_len": 1024,
+                  "window": "hamming", "n_mels": 40, "k": 9, "p": 0.5,
+                  "temperature": 0.7, "order": 2, "alpha": 0.3, "n_trials": 11,
+                  "max_len": 12, "gl_iterations": 13, "n_coeffs": 14}
+        assert values.keys() == cli._CONFIG_SCHEMA.keys()
+        assert all(values[key] != cli._DEFAULTS[key] for key in values)
+        cfg_file = tmp_path / "all.cfg"
+        cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        cfg = cli.build_pipeline_config(self._args(config=str(cfg_file)), seed=5)
+        parts = (cfg, cfg.codec, cfg.analysis, cfg.sampling)
+        for key, value in values.items():
+            holders = [part for part in parts if hasattr(part, key)]
+            assert holders, key
+            assert all(getattr(part, key) == value for part in holders), key
+        assert cfg.codec.feature_dim == values["n_mels"]
+        assert cfg.codec.seed == 5
+
+    def test_settings_classes_agree_on_shared_defaults(self):
+        for cls in cli._SETTINGS_CLASSES:
+            for f in dataclasses.fields(cls):
+                if f.name in cli._DEFAULTS:
+                    assert f.default == cli._DEFAULTS[f.name], (cls.__name__, f.name)
+
     def test_config_file_unknown_key(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("codebook_size=8\nbogus=1\n")
@@ -155,7 +183,6 @@ class TestTrainCodec:
                if line.startswith("stage")]
         assert len(mse) == 2
         assert mse[1] <= mse[0]
-        assert any(line.startswith("commitment=") for line in lines)
         codec = containers.load_codec(out)
         assert codec.config.codebook_size == 16
 
@@ -240,6 +267,26 @@ class TestEncodeDecode:
         assert rc == 0
         assert "decoded 0 frames -> 0 samples" in capsys.readouterr().out
         assert len(read_wav(out)) == 0
+
+    def test_decode_rejects_zero_gl_iterations(self, workspace, tmp_path, capsys):
+        empty = tmp_path / "empty.dust"
+        containers.save_tokens(empty, TokenSequence(
+            tokens=np.zeros((2, 0), dtype=np.int64), vocab_size=16,
+            frame_rate=FRAME_RATE))
+        rc = cli.main(["decode", workspace["codec"], str(empty),
+                       "--out", str(tmp_path / "x.wav"), "--gl-iterations", "0"])
+        assert rc == 1
+        assert "gl_iterations" in last_error(capsys.readouterr().err)["message"]
+
+    def test_decode_rejects_version_1_codec(self, workspace, tmp_path, capsys):
+        old = tmp_path / "old.duss"
+        buf = bytearray(open(workspace["codec"], "rb").read())
+        struct.pack_into("<I", buf, 4, 1)  # the header version field
+        old.write_bytes(bytes(buf))
+        rc = cli.main(["decode", str(old), workspace["tokens"],
+                       "--out", str(tmp_path / "x.wav")])
+        assert rc == 2
+        assert "unsupported DUSS version 1" in last_error(capsys.readouterr().err)["message"]
 
     def test_token_over_vocab_rejected_naming_position(self, workspace, tmp_path,
                                                        capsys):

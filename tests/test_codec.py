@@ -1,5 +1,5 @@
 """Quantizer checks: nearest-code lookup, staged k-means training,
-encode/decode round trips, and the weighted quantization report."""
+encode/decode round trips, and the per-stage quantization report."""
 
 from fractions import Fraction
 
@@ -316,11 +316,10 @@ class TestQuantizationReport:
         exact = FeatureMatrix(codec.stages[0].vectors[[1, 4, 7]].copy(),
                               FRAME_RATE, FeatureKind.MEL_SPECTROGRAM)
         report = cd.quantization_report(single, exact)
-        assert report.commitment == pytest.approx(0.0, abs=1e-20)
-        assert report.weighted_total == pytest.approx(0.0, abs=1e-20)
+        assert report.per_stage_mse == pytest.approx((0.0,), abs=1e-20)
 
-    def test_single_frame_weighted_total(self):
-        """One frame at distance d from its nearest code: total (2+8) d^2."""
+    def test_single_frame_per_stage_mse(self):
+        """One frame at distance d from its nearest code: mse d^2."""
         from duss.dsp import FeatureKind, FeatureMatrix
         vectors = np.array([[0.0, 0.0], [10.0, 0.0]])
         cfg = cd.CodecConfig(codebook_size=2, num_quantizers=1, feature_dim=2)
@@ -331,8 +330,7 @@ class TestQuantizationReport:
         fm = FeatureMatrix(np.array([[d, 0.0]]), FRAME_RATE,
                            FeatureKind.MEL_SPECTROGRAM)
         report = cd.quantization_report(codec, fm)
-        assert report.commitment == pytest.approx(d ** 2)
-        assert report.weighted_total == pytest.approx((2.0 + 8.0) * d ** 2)
+        assert report.per_stage_mse == pytest.approx((d ** 2,))
 
     def test_invariant_to_frame_order(self, tiny_codec):
         codec, fm = tiny_codec
@@ -341,7 +339,7 @@ class TestQuantizationReport:
         shuffled = FeatureMatrix(fm.data[perm], fm.frame_rate, fm.kind)
         a = cd.quantization_report(codec, fm)
         b = cd.quantization_report(codec, shuffled)
-        assert a.weighted_total == pytest.approx(b.weighted_total, rel=1e-12)
+        assert a.per_stage_mse == pytest.approx(b.per_stage_mse, rel=1e-12)
 
 
 class TestCodecConfig:
@@ -352,7 +350,3 @@ class TestCodecConfig:
     def test_rejects_tiny_codebook(self):
         with pytest.raises(ValidationError):
             cd.CodecConfig(codebook_size=1)
-
-    def test_rejects_negative_weight(self):
-        with pytest.raises(ValidationError):
-            cd.CodecConfig(commitment_weight=-1.0)

@@ -26,7 +26,7 @@ class TestFormatConstants:
     def test_magics_and_version(self):
         assert ct.MAGIC_DUSS == b"DUSS"
         assert ct.MAGIC_DUST == b"DUST"
-        assert ct.VERSION == 1
+        assert ct.VERSION == 2
 
     def test_kind_codes_are_frozen(self):
         # on-disk format constants; renumbering breaks existing files
@@ -124,7 +124,7 @@ class TestF0Files:
 
     def test_rejects_bad_dimension(self, tmp_path):
         path = tmp_path / "wide.duss"
-        header = ct._HEADER.pack(b"DUSS", 1, ct.KIND_F0, 1, 2, 50, 1)
+        header = ct._HEADER.pack(b"DUSS", ct.VERSION, ct.KIND_F0, 1, 2, 50, 1)
         path.write_bytes(header + np.zeros(2).tobytes())
         with pytest.raises(DataError, match="D = 1"):
             ct.load_f0(path)
@@ -316,7 +316,7 @@ class TestDispatch:
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "odd.duss"
-        header = ct._HEADER.pack(b"DUSS", 1, 42, 0, 0, 0, 1)
+        header = ct._HEADER.pack(b"DUSS", ct.VERSION, 42, 0, 0, 0, 1)
         path.write_bytes(header)
         with pytest.raises(DataError, match="kind 42"):
             ct.load_any(path)

@@ -1,6 +1,8 @@
 """Sampling strategy checks: tempered softmax, top-k/nucleus filtering,
 token draws, and the stop-terminated generation loop."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -181,6 +183,14 @@ class TestMaskedDistribution:
 
 
 class TestSampleToken:
+    def test_tiny_temperature_is_argmax_without_warning(self):
+        params = sp.SamplingParams(k=3, p=1.0, temperature=1e-320)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            token = sp.sample_token(np.array([0.0, 5.0, 1.0]), params,
+                                    np.random.default_rng(0))
+        assert token == 1
+
     def test_k_one_is_argmax_for_any_state(self):
         logits = np.array([0.3, 2.0, -1.0, 0.9])
         params = sp.SamplingParams(k=1, p=1.0, temperature=1.0)
