@@ -1,101 +1,81 @@
 #!/usr/bin/env python3
 """Generation under the shipped sampling presets.
 
-Trains a codec and an n-gram token model on a manifest, then samples a batch
-of sequences at each acoustic preset triple (k, p, temperature) and reports
-stop behavior, measured bitrate, and the centroid quality proxy. Optionally
-re-runs the random-search tuner to compare its pick against the presets.
+For each acoustic preset, trains a single-stage codec of the preset's size V
+and an n-gram token model on a manifest's training split, samples a batch of
+sequences at the preset's (k, p, temperature) and reports stop behavior and
+measured bitrate. Settings flags and defaults are `duss`'s, and an explicit
+flag overrides the preset: `--codebook-size 64` gives every preset one
+desk-scale codec. Optionally runs the random-search tuner on each trained
+model to compare its pick against the presets.
 """
 
 import argparse
-import os
 
 import numpy as np
 
-from duss.cli import PRESETS
-from duss.codec import CodecConfig, encode, train_codebooks
-from duss.corpus import load_manifest
-from duss.dsp import AnalysisConfig, analyze, read_wav
-from duss.metrics import measured_bitrate
-from duss.sampler import SamplingParams, generate
+from duss import cli
+from duss.codec import encode, train_codebooks
+from duss.sampler import generate
 from duss.toylm import train_ngram
-from duss.tuner import CentroidScorer, SearchSpace, param_importance, tune
+from duss.tuner import DEFAULT_DEV_COUNT, CentroidScorer, SearchSpace, tune
 
 ACOUSTIC_PRESETS = ("acoustic-1024", "acoustic-512", "acoustic-256")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("manifest")
-    parser.add_argument("--codebook-size", type=int, default=64,
-                        help="codec vocabulary; desk-scale stand-in for the "
-                             "preset-native sizes")
-    parser.add_argument("--kmeans-iters", type=int, default=25)
-    parser.add_argument("--order", type=int, default=3)
-    parser.add_argument("--alpha", type=float, default=0.1)
-    parser.add_argument("--count", type=int, default=10,
-                        help="sequences per preset")
-    parser.add_argument("--max-len", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tune-trials", type=int, default=0,
-                        help="if > 0, also run the tuner with this many trials")
-    args = parser.parse_args(argv)
+def sweep(args) -> int:
+    seed = cli.resolve_seed(args)
+    configs = [cli.build_pipeline_config(argparse.Namespace(**vars(args), preset=name), seed)
+               for name in ACOUSTIC_PRESETS]
+    # Presets differ only in codec and sampling settings: one codec and LM per codec config.
+    _, mels, _ = cli.split_features(args.manifest, configs[0].analysis)
+    trained = {}
+    for cfg in configs:
+        if cfg.codec not in trained:
+            codec = train_codebooks(mels, cfg.codec)
+            model = train_ngram([encode(codec, mel) for mel in mels], n=cfg.order,
+                                alpha=cfg.alpha)
+            trained[cfg.codec] = (cfg, codec, model)
+            print(f"codec V={cfg.codec.codebook_size}, model vocab {model.vocab_size} "
+                  f"over {len(mels)} utterances")
 
-    manifest = load_manifest(args.manifest)
-    base = os.path.dirname(os.path.abspath(args.manifest))
-    analysis = AnalysisConfig()
-    mels = [analyze(read_wav(os.path.join(base, e.audio_path)), analysis)
-            for e in manifest.entries if e.split == "train"]
-    if not mels:
-        parser.error("manifest has no train-split utterances")
-
-    cfg = CodecConfig(codebook_size=args.codebook_size, num_quantizers=1,
-                      feature_dim=analysis.n_mels,
-                      kmeans_iters=args.kmeans_iters, seed=args.seed)
-    codec = train_codebooks(mels, cfg)
-    streams = [encode(codec, mel) for mel in mels]
-    model = train_ngram(streams, n=args.order, alpha=args.alpha)
-    print(f"codec V={args.codebook_size}, model vocab {model.vocab_size} "
-          f"over {len(streams)} utterances")
-
-    print(f"{'preset':>14}  {'k':>4}  {'p':>6}  {'temp':>6}  "
+    print(f"{'preset':>14}  {'V':>5}  {'k':>4}  {'p':>6}  {'temp':>6}  "
           f"{'natural':>8}  {'mean len':>9}  {'bps':>8}")
-    for preset_index, name in enumerate(ACOUSTIC_PRESETS):
-        preset = PRESETS[name]
-        params = SamplingParams(k=preset["k"], p=preset["p"],
-                                temperature=preset["temperature"])
-        sequences, natural = [], 0
-        for i in range(args.count):
-            rng = np.random.default_rng([args.seed, preset_index, i])
-            result = generate(model, params, args.max_len, rng,
-                              frame_rate=cfg.frame_rate)
-            sequences.append(result.sequence)
-            natural += int(result.natural)
-        lengths = [s.num_frames for s in sequences]
-        nonempty = [s for s in sequences if s.num_frames]
-        rate = float(cfg.frame_rate)
-        if nonempty:
-            bps = measured_bitrate(nonempty,
-                                   [s.num_frames / rate for s in nonempty])
-        else:
-            bps = float("nan")
-        print(f"{name:>14}  {params.k:>4}  {params.p:>6.3f}  "
-              f"{params.temperature:>6.3f}  {natural:>5}/{args.count:<2}  "
-              f"{np.mean(lengths):>9.1f}  {bps:>8.2f}")
+    for preset_index, (name, cfg) in enumerate(zip(ACOUSTIC_PRESETS, configs)):
+        _, _, model = trained[cfg.codec]
+        results = [generate(model, cfg.sampling, cfg.max_len,
+                            np.random.default_rng([seed, preset_index, i]),
+                            frame_rate=cfg.codec.frame_rate) for i in range(args.count)]
+        sequences = [r.sequence for r in results]
+        params = cfg.sampling
+        print(f"{name:>14}  {cfg.codec.codebook_size:>5}  {params.k:>4}  {params.p:>6.3f}  "
+              f"{params.temperature:>6.3f}  {sum(r.natural for r in results):>5}/{args.count:<2}  "
+              f"{np.mean([s.num_frames for s in sequences]):>9.1f}  "
+              f"{cli.generated_bitrate(sequences):>8.2f}")
 
     if args.tune_trials > 0:
-        history = tune(SearchSpace(), CentroidScorer(codec), model,
-                       dev_contexts=list(range(4)), n_trials=args.tune_trials,
-                       seed=args.seed, max_len=args.max_len)
-        best = history.best_trial
-        print(f"tuned best: k={best.params.k} p={best.params.p:.3f} "
-              f"temperature={best.params.temperature:.3f} "
-              f"score={best.score:.6g}")
-        importance = param_importance(history)
-        if importance:
-            print("importance: " + "  ".join(
-                f"{name}={importance[name]:.3f}" for name in ("k", "p", "temperature")))
+        for cfg, codec, model in trained.values():
+            history = tune(SearchSpace(), CentroidScorer(codec), model,
+                           dev_contexts=list(range(DEFAULT_DEV_COUNT)),
+                           n_trials=args.tune_trials, seed=seed, max_len=cfg.max_len)
+            cli.print_tuning(history, codec)
     return 0
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = cli._Parser(description=__doc__)
+    parser.add_argument("manifest")
+    cli._add_overrides(parser, ["codebook_size", "kmeans_iters", "order", "alpha", "max_len"])
+    parser.add_argument("--count", type=int, default=10, help="sequences per preset")
+    cli._add_seed(parser)
+    parser.add_argument("--tune-trials", type=int, default=0,
+                        help="if > 0, also run the tuner with this many trials")
+    parser.set_defaults(func=sweep)
+    return parser
+
+
+def main(argv=None) -> int:
+    return cli.run(build_parser(), argv)
 
 
 if __name__ == "__main__":

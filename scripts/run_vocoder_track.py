@@ -4,18 +4,20 @@
 Trains one RVQ codec per requested codebook size on the training split of a
 manifest, round-trips every utterance through encode/decode, and reports mean
 mel-cepstral distortion next to the nominal and measured bitrates. Larger
-codebooks should show lower distortion at higher bitrate.
+codebooks should show lower distortion at higher bitrate. Settings flags and
+defaults are `duss`'s; audio is resampled as in `duss train-codec`.
 """
 
 import argparse
+import dataclasses
 import json
-import os
 
 import numpy as np
 
-from duss.codec import CodecConfig, decode, encode, train_codebooks
-from duss.corpus import load_manifest
-from duss.dsp import AnalysisConfig, analyze, mel_cepstrum, read_wav
+from duss import cli
+from duss.codec import decode, encode, train_codebooks
+from duss.dsp import mel_cepstrum
+from duss.errors import ValidationError
 from duss.metrics import mcd, measured_bitrate, nominal_bitrate
 
 
@@ -26,55 +28,32 @@ def parse_sizes(text: str):
     return sizes
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("manifest")
-    parser.add_argument("--codebook-sizes", type=parse_sizes, default=[8, 64, 256])
-    parser.add_argument("--num-quantizers", type=int, default=2)
-    parser.add_argument("--kmeans-iters", type=int, default=25)
-    parser.add_argument("--n-coeffs", type=int, default=13)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", help="optional JSON report path")
-    args = parser.parse_args(argv)
-
-    manifest = load_manifest(args.manifest)
-    base = os.path.dirname(os.path.abspath(args.manifest))
-    analysis = AnalysisConfig()
-    train_mels, all_mels, durations = [], [], []
-    for entry in manifest.entries:
-        wave = read_wav(os.path.join(base, entry.audio_path))
-        mel = analyze(wave, analysis)
-        all_mels.append(mel)
-        durations.append(len(wave) / wave.sample_rate)
-        if entry.split == "train":
-            train_mels.append(mel)
+def sweep(args) -> int:
+    seed = cli.resolve_seed(args)
+    cfg = cli.build_pipeline_config(args, seed)
+    entries, mels, durations = cli.split_features(args.manifest, cfg.analysis,
+                                                  train_only=False)
+    train_mels = [mel for entry, mel in zip(entries, mels) if entry.split == "train"]
     if not train_mels:
-        parser.error("manifest has no train-split utterances")
+        raise ValidationError("manifest has no train-split utterances")
 
     rows = []
     for vocab_size in args.codebook_sizes:
-        cfg = CodecConfig(codebook_size=vocab_size,
-                          num_quantizers=args.num_quantizers,
-                          feature_dim=analysis.n_mels,
-                          kmeans_iters=args.kmeans_iters, seed=args.seed)
-        codec = train_codebooks(train_mels, cfg)
-        token_files, distortions = [], []
-        for mel in all_mels:
-            tokens = encode(codec, mel)
-            token_files.append(tokens)
-            decoded = decode(codec, tokens)
-            distortions.append(mcd(mel_cepstrum(mel, args.n_coeffs),
-                                   mel_cepstrum(decoded, args.n_coeffs)))
+        codec_cfg = dataclasses.replace(cfg.codec, codebook_size=vocab_size)
+        codec = train_codebooks(train_mels, codec_cfg)
+        token_files = [encode(codec, mel) for mel in mels]
+        distortions = [mcd(mel_cepstrum(mel, cfg.n_coeffs),
+                           mel_cepstrum(decode(codec, tokens), cfg.n_coeffs))
+                       for mel, tokens in zip(mels, token_files)]
         rows.append({
             "codebook_size": vocab_size,
             "mean_mcd_db": float(np.mean(distortions)),
             "nominal_bitrate_bps": nominal_bitrate(
-                vocab_size, args.num_quantizers, cfg.frame_rate),
+                vocab_size, codec_cfg.num_quantizers, codec_cfg.frame_rate),
             "measured_bitrate_bps": measured_bitrate(token_files, durations),
         })
 
-    header = f"{'V':>6}  {'MCD (dB)':>9}  {'nominal bps':>12}  {'measured bps':>13}"
-    print(header)
+    print(f"{'V':>6}  {'MCD (dB)':>9}  {'nominal bps':>12}  {'measured bps':>13}")
     for row in rows:
         print(f"{row['codebook_size']:>6}  {row['mean_mcd_db']:>9.4f}  "
               f"{row['nominal_bitrate_bps']:>12.2f}  "
@@ -82,11 +61,26 @@ def main(argv=None) -> int:
 
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump({"rows": rows, "seed": args.seed,
-                       "num_quantizers": args.num_quantizers}, fh, indent=2)
+            json.dump({"rows": rows, "seed": seed,
+                       "num_quantizers": cfg.codec.num_quantizers}, fh, indent=2)
             fh.write("\n")
         print(f"report: {args.out}")
     return 0
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = cli._Parser(description=__doc__)
+    parser.add_argument("manifest")
+    parser.add_argument("--codebook-sizes", type=parse_sizes, default=[8, 64, 256])
+    cli._add_overrides(parser, ["num_quantizers", "kmeans_iters", "n_coeffs"])
+    cli._add_seed(parser)
+    parser.add_argument("--out", help="optional JSON report path")
+    parser.set_defaults(func=sweep)
+    return parser
+
+
+def main(argv=None) -> int:
+    return cli.run(build_parser(), argv)
 
 
 if __name__ == "__main__":

@@ -183,6 +183,30 @@ def _features_for_entry(path: str, analysis: dsp.AnalysisConfig) -> dsp.FeatureM
     return dsp.analyze(_read_at_rate(path, analysis.sample_rate), analysis)
 
 
+def split_features(manifest_path, analysis: dsp.AnalysisConfig, exclude_styles=None,
+                   train_only: bool = True) -> tuple:
+    """A manifest's train split (every entry unless train_only) minus the excluded
+    styles, with each WAV's features and seconds, resampled to the analysis rate."""
+    manifest = _load_manifest_diag(manifest_path)
+    base = os.path.dirname(os.path.abspath(manifest_path))
+    entries = [e for e in manifest.entries if not train_only or e.split == "train"]
+    excluded = set(exclude_styles.split(",")) - {""} if exclude_styles else set()
+    kept, removed = corpus.filter_styles(
+        corpus.CorpusManifest(entries=tuple(entries), source_name=manifest.source_name),
+        excluded)
+    for tag, count in removed.items():
+        _diag("excluded_style", style_tag=tag, removed=count)
+    if len(kept) == 0:
+        raise ValidationError(f"no {'training ' if train_only else ''}utterances "
+                              "left after filtering")
+    features, durations = [], []
+    for entry in kept.entries:
+        wave = _read_at_rate(_audio_path(base, entry), analysis.sample_rate)
+        features.append(dsp.analyze(wave, analysis))
+        durations.append(len(wave) / wave.sample_rate)
+    return kept.entries, features, durations
+
+
 def _cepstrum_and_f0(path: str, cfg: PipelineConfig) -> tuple:
     """Mel cepstrum and F0 track of one WAV, read and resampled once."""
     wave = _read_at_rate(path, cfg.analysis.sample_rate)
@@ -195,29 +219,15 @@ def _cepstrum_and_f0(path: str, cfg: PipelineConfig) -> tuple:
 
 
 def cmd_train_codec(args) -> int:
-    seed = resolve_seed(args)
-    cfg = build_pipeline_config(args, seed)
-    manifest = _load_manifest_diag(args.manifest)
-    base = os.path.dirname(os.path.abspath(args.manifest))
-
-    train = [e for e in manifest.entries if e.split == "train"]
-    excluded = set(args.exclude_styles.split(",")) - {""} if args.exclude_styles else set()
-    filtered, removed = corpus.filter_styles(
-        corpus.CorpusManifest(entries=tuple(train), source_name=manifest.source_name),
-        excluded)
-    for tag, count in removed.items():
-        _diag("excluded_style", style_tag=tag, removed=count)
-    if len(filtered) == 0:
-        raise ValidationError("no training utterances left after filtering")
-
-    features = [_features_for_entry(_audio_path(base, e), cfg.analysis)
-                for e in filtered.entries]
+    cfg = build_pipeline_config(args, resolve_seed(args))
+    entries, features, _ = split_features(args.manifest, cfg.analysis,
+                                          exclude_styles=args.exclude_styles)
     codec = train_codebooks(features, cfg.codec)
     containers.save_codec(args.out, codec)
 
     for stage, mse in enumerate(codec.stage_train_mse):
         print(f"stage {stage} train mse: {mse:.6g}")
-    _diag("codec_written", path=args.out, utterances=len(filtered),
+    _diag("codec_written", path=args.out, utterances=len(entries),
           frames=sum(f.num_frames for f in features))
     return 0
 
@@ -277,6 +287,34 @@ def _check_lm_codec(model: toylm.NgramModel, codec: RvqCodec) -> None:
             f"{codec.config.codebook_size} + stop")
 
 
+def generated_bitrate(sequences: List[TokenSequence]) -> float:
+    """Measured bitrate of the non-empty generated sequences over their own
+    durations; 0 when every sequence is empty."""
+    nonempty = [s for s in sequences if s.num_frames > 0]
+    if not nonempty:
+        return 0.0
+    return metrics.measured_bitrate(
+        nonempty, [s.num_frames / float(s.frame_rate) for s in nonempty])
+
+
+def print_tuning(history: tuner.TuningHistory, codec: RvqCodec,
+                 bins: int = tuner.DEFAULT_IMPORTANCE_BINS) -> None:
+    """The best trial, then the parameter importance or why it is unavailable."""
+    best = history.best_trial
+    print(f"best: V={codec.config.codebook_size} k={best.params.k} "
+          f"p={best.params.p:.3f} temperature={best.params.temperature:.3f} "
+          f"score={best.score:.6g}")
+    min_trials = 2 * bins
+    finite = sum(1 for t in history.trials if not t.flagged)
+    if finite >= min_trials:
+        imp = tuner.param_importance(history, bins=bins)
+        print(f"importance: k={imp['k']:.3f} p={imp['p']:.3f} "
+              f"temperature={imp['temperature']:.3f}")
+    else:
+        print(f"importance: unavailable (needs >= {min_trials} finite trials, "
+              f"have {finite})")
+
+
 def cmd_generate(args) -> int:
     seed = resolve_seed(args)
     cfg = build_pipeline_config(args, seed)
@@ -301,12 +339,7 @@ def cmd_generate(args) -> int:
         dsp.write_wav(stem + ".wav", wave)
         print(f"gen_{i:03d}: frames={seq.num_frames} natural={result.natural}")
 
-    nonempty = [s for s in sequences if s.num_frames > 0]
-    if nonempty:
-        durations = [s.num_frames / float(s.frame_rate) for s in nonempty]
-        rate = metrics.measured_bitrate(nonempty, durations)
-    else:
-        rate = 0.0
+    rate = generated_bitrate(sequences)
     print(f"measured_bitrate_bps: {rate:.2f}")
     _diag("generated", count=args.count, out_dir=args.out_dir,
           measured_bitrate_bps=rate)
@@ -328,20 +361,7 @@ def cmd_tune(args) -> int:
     history = tuner.tune(space, scorer, model, dev_contexts,
                          n_trials=cfg.n_trials, seed=seed, max_len=cfg.max_len)
     tuner.save_history_jsonl(history, args.out)
-
-    best = history.best_trial
-    print(f"best: V={codec.config.codebook_size} k={best.params.k} "
-          f"p={best.params.p:.3f} temperature={best.params.temperature:.3f} "
-          f"score={best.score:.6g}")
-    min_trials = 2 * args.importance_bins
-    finite = sum(1 for t in history.trials if not t.flagged)
-    if finite >= min_trials:
-        imp = tuner.param_importance(history, bins=args.importance_bins)
-        print(f"importance: k={imp['k']:.3f} p={imp['p']:.3f} "
-              f"temperature={imp['temperature']:.3f}")
-    else:
-        print(f"importance: unavailable (needs >= {min_trials} finite trials, "
-              f"have {finite})")
+    print_tuning(history, codec, args.importance_bins)
     _diag("history_written", path=args.out, trials=len(history.trials),
           best_index=history.best)
     return 0
@@ -461,9 +481,13 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_seed(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None,
                         help="global seed (falls back to DUSS_SEED, then 0)")
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    _add_seed(parser)
     parser.add_argument("--config", default=None,
                         help="key=value settings file")
     parser.add_argument("--preset", default=None,
@@ -539,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-max", type=float, default=space.p_range[1])
     p.add_argument("--temp-min", type=float, default=space.temp_range[0])
     p.add_argument("--temp-max", type=float, default=space.temp_range[1])
-    p.add_argument("--dev-count", type=int, default=4,
+    p.add_argument("--dev-count", type=int, default=tuner.DEFAULT_DEV_COUNT,
                    help="generations scored per trial")
     p.add_argument("--importance-bins", type=int, default=tuner.DEFAULT_IMPORTANCE_BINS)
     _add_common(p)
@@ -572,20 +596,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def run(parser: argparse.ArgumentParser, argv=None) -> int:
+    """Parse argv and call the chosen `func`. A validation error exits 1, a
+    data or OS error exits 2, each as one JSON `error` line on stderr."""
     try:
         args = parser.parse_args(argv)
         return args.func(args)
     except ValidationError as exc:
         _diag("error", kind="validation", message=str(exc))
         return 1
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         _diag("error", kind="data", message=str(exc))
         return 2
-    except OSError as exc:
-        _diag("error", kind="data", message=str(exc))
-        return 2
+
+
+def main(argv=None) -> int:
+    return run(build_parser(), argv)
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ Both formats are at version 2; files of any other version are rejected.
 
 from __future__ import annotations
 
+import contextlib
 import struct
 from fractions import Fraction
 from typing import Union
@@ -92,6 +93,15 @@ def _open_duss(path, expect_kind=None) -> tuple:
     return reader, kind, t, d, Fraction(num, den)
 
 
+@contextlib.contextmanager
+def _invalid_payload(path, what: str):
+    """Report a payload its dataclass rejects as a data error naming the file."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise DataError(f"{path}: invalid {what}: {exc}") from None
+
+
 def peek_kind(path) -> int:
     """Kind code of a DUSS file without loading its payload."""
     _, kind, _, _, _ = _open_duss(path)
@@ -117,8 +127,9 @@ def load_features(path) -> FeatureMatrix:
         raise DataError(f"{path}: kind {kind} is not a feature matrix")
     data = reader.take_array("<f8", t * d).reshape(t, d)
     reader.done()
-    return FeatureMatrix(data=data.astype(np.float64), frame_rate=rate,
-                         kind=FeatureKind(kind))
+    with _invalid_payload(path, "feature matrix"):
+        return FeatureMatrix(data=data.astype(np.float64), frame_rate=rate,
+                             kind=FeatureKind(kind))
 
 
 def save_f0(path, track: F0Track) -> None:
@@ -135,7 +146,8 @@ def load_f0(path) -> F0Track:
         raise DataError(f"{path}: F0 track must have D = 1, found {d}")
     values = reader.take_array("<f8", t)
     reader.done()
-    return F0Track(values=values.astype(np.float64), frame_rate=rate)
+    with _invalid_payload(path, "F0 track"):
+        return F0Track(values=values.astype(np.float64), frame_rate=rate)
 
 
 # ---------------------------------------------------------------------------
@@ -169,21 +181,19 @@ def load_codec(path) -> RvqCodec:
     if (t, d) != (q, feature_dim):
         raise DataError(f"{path}: header ({t}, {d}) disagrees with codec "
                         f"config ({q}, {feature_dim})")
-    try:
+    with _invalid_payload(path, "codec config"):
         cfg = CodecConfig(codebook_size=v, num_quantizers=q, hop=hop,
                           sample_rate=sample_rate, feature_dim=feature_dim,
                           kmeans_iters=kmeans_iters, seed=seed)
-    except ValidationError as exc:
-        raise DataError(f"{path}: invalid codec config: {exc}")
-    stages = []
-    for _ in range(q):
-        vectors = reader.take_array("<f8", v * feature_dim).reshape(v, feature_dim)
-        usage = reader.take_array("<u8", v)
-        stages.append(Codebook(vectors=vectors.astype(np.float64),
-                               usage_counts=usage.astype(np.int64)))
+    arrays = [(reader.take_array("<f8", v * feature_dim).reshape(v, feature_dim),
+               reader.take_array("<u8", v)) for _ in range(q)]
     (n_mse,) = reader.take_struct(struct.Struct("<I"))
     mse = reader.take_array("<f8", n_mse).astype(np.float64).tolist()
     reader.done()
+    with _invalid_payload(path, "codebook"):
+        stages = [Codebook(vectors=vectors.astype(np.float64),
+                           usage_counts=usage.astype(np.int64))
+                  for vectors, usage in arrays]
     return RvqCodec(config=cfg, stages=stages, stage_train_mse=mse)
 
 
@@ -247,10 +257,8 @@ def save_ngram(path, model: NgramModel) -> None:
 def load_ngram(path) -> NgramModel:
     reader, _, order, vocab_size, _ = _open_duss(path, expect_kind=KIND_NGRAM)
     alpha, n_contexts = reader.take_struct(struct.Struct("<dQ"))
-    try:
+    with _invalid_payload(path, "model header"):
         model = NgramModel(order=int(order), vocab_size=int(vocab_size), alpha=alpha)
-    except ValidationError as exc:
-        raise DataError(f"{path}: invalid model header: {exc}")
     for _ in range(n_contexts):
         (ctx_len,) = reader.take_struct(struct.Struct("<I"))
         ctx = tuple(int(x) for x in reader.take_array("<u4", ctx_len))

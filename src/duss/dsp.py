@@ -209,6 +209,11 @@ def _stft_array(x: np.ndarray, frame_len: int, hop: int, window: str) -> np.ndar
     return np.fft.rfft(frames * win, axis=1)
 
 
+def _check_hop(frame_len: int, hop: int) -> None:
+    if hop <= 0 or hop > frame_len:
+        raise ValidationError(f"need 0 < hop <= frame_len, got hop={hop}, frame_len={frame_len}")
+
+
 def stft(w: Waveform, frame_len: int = DEFAULT_FRAME_LEN, hop: int = DEFAULT_HOP,
          window: str = DEFAULT_WINDOW) -> Stft:
     """Short-time Fourier transform of a waveform.
@@ -216,10 +221,7 @@ def stft(w: Waveform, frame_len: int = DEFAULT_FRAME_LEN, hop: int = DEFAULT_HOP
     Frames are centered with reflect padding, so the output has
     T = ceil(len(samples) / hop) frames of F = frame_len // 2 + 1 bins.
     """
-    if hop <= 0:
-        raise ValidationError(f"hop must be positive, got {hop}")
-    if frame_len <= 0 or hop > frame_len:
-        raise ValidationError(f"need 0 < hop <= frame_len, got hop={hop}, frame_len={frame_len}")
+    _check_hop(frame_len, hop)
     data = _stft_array(w.samples, frame_len, hop, window)
     return Stft(data=data, sample_rate=w.sample_rate, frame_len=frame_len, hop=hop, window=window)
 
@@ -249,8 +251,7 @@ def istft(data: np.ndarray, frame_len: int, hop: int, window: str = DEFAULT_WIND
     Undoes the center padding of `stft`; the default output length is
     T * hop, matching the analysis frame count.
     """
-    if hop <= 0 or hop > frame_len:
-        raise ValidationError(f"need 0 < hop <= frame_len, got hop={hop}, frame_len={frame_len}")
+    _check_hop(frame_len, hop)
     num_frames = data.shape[0]
     if length is None:
         length = num_frames * hop
@@ -445,6 +446,7 @@ def griffin_lim(mel: FeatureMatrix, cfg: AnalysisConfig,
     """
     if iterations < 1:
         raise ValidationError(f"iterations must be >= 1, got {iterations}")
+    _check_hop(cfg.frame_len, cfg.hop)
     if mel.kind not in (FeatureKind.MEL_SPECTROGRAM, FeatureKind.DECODED):
         raise ValidationError(f"griffin_lim expects log-mel input, got kind {mel.kind.name}")
     n_mels = mel.dim

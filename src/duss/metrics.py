@@ -34,16 +34,13 @@ def nominal_bitrate(vocab_size: int, num_quantizers: int, frame_rate) -> float:
     return num_quantizers * math.log2(vocab_size) * rate
 
 
-def measured_bitrate(sequences: Sequence[TokenSequence], durations: Sequence[float],
-                     per_utterance_codes: bool = False,
-                     include_stop: bool = False) -> float:
+def measured_bitrate(sequences: Sequence[TokenSequence], durations: Sequence[float]) -> float:
     """Corpus-measured bitrate from the codes actually used.
 
     Total bits are sum over utterances of T * Q * log2(V_used) where V_used
-    counts distinct token values (floored at 2 so a one-code corpus is not
-    free); the total is divided by the summed durations. By default V_used
-    is counted over the whole corpus and stop tokens are ignored; the flags
-    select per-utterance counting and stop-inclusive accounting instead.
+    counts the distinct token values over the whole corpus (floored at 2 so
+    a one-code corpus is not free); the total is divided by the summed
+    durations. Stop tokens are never stored, so they are not counted.
     """
     if len(sequences) == 0:
         raise ValidationError("measured_bitrate requires a non-empty corpus")
@@ -54,20 +51,11 @@ def measured_bitrate(sequences: Sequence[TokenSequence], durations: Sequence[flo
     if any(d <= 0 for d in durations):
         raise ValidationError("durations must be > 0")
 
-    def distinct(seqs: Sequence[TokenSequence]) -> int:
-        values = set()
-        for s in seqs:
-            values.update(np.unique(s.tokens).tolist())
-            if include_stop and s.stop_token_id is not None:
-                values.add(s.stop_token_id)
-        return max(len(values), 2)
-
-    total_bits = 0.0
-    corpus_v = None if per_utterance_codes else distinct(sequences)
+    values = set()
     for seq in sequences:
-        v_used = distinct([seq]) if per_utterance_codes else corpus_v
-        frames = seq.num_frames + (1 if include_stop else 0)
-        total_bits += frames * seq.num_stages * math.log2(v_used)
+        values.update(np.unique(seq.tokens).tolist())
+    bits_per_code = math.log2(max(len(values), 2))
+    total_bits = sum(seq.num_frames * seq.num_stages * bits_per_code for seq in sequences)
     return total_bits / sum(durations)
 
 

@@ -21,6 +21,7 @@ EMPTY_SEQUENCE_PENALTY = 100.0
 TRUNCATION_PENALTY = 10.0
 
 DEFAULT_IMPORTANCE_BINS = 10
+DEFAULT_DEV_COUNT = 4  # generations scored per trial
 
 
 @dataclass(frozen=True)
@@ -227,7 +228,7 @@ def load_history_jsonl(path) -> TuningHistory:
                                                     temperature=row["temperature"]),
                               score=row["score"], seed=row["seed"],
                               flagged=row.get("flagged", False))
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, ValidationError) as exc:
                 raise DataError(f"{path}: bad trial record on line {line_no}: {exc}")
             trials.append(trial)
     if not trials:

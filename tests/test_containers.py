@@ -112,6 +112,15 @@ class TestFeatureFiles:
         with pytest.raises(DataError, match="not a feature matrix"):
             ct.load_features(path)
 
+    def test_rejects_nan_feature(self, tmp_path):
+        path = tmp_path / "nan.duss"
+        ct.save_features(path, make_feature_matrix(np.random.default_rng(0), 3, 4))
+        buf = bytearray(path.read_bytes())
+        struct.pack_into("<d", buf, ct._HEADER.size + 8, float("nan"))
+        path.write_bytes(bytes(buf))
+        with pytest.raises(DataError, match="invalid feature matrix"):
+            ct.load_features(path)
+
 
 class TestF0Files:
     def test_round_trip(self, tmp_path):
@@ -133,6 +142,15 @@ class TestF0Files:
         path = tmp_path / "fm.duss"
         ct.save_features(path, make_feature_matrix(np.random.default_rng(0), 2, 2))
         with pytest.raises(DataError, match="expected kind 4"):
+            ct.load_f0(path)
+
+    def test_rejects_negative_value(self, tmp_path):
+        path = tmp_path / "neg.duss"
+        ct.save_f0(path, F0Track(np.array([0.0, 220.0]), FRAME_RATE))
+        buf = bytearray(path.read_bytes())
+        struct.pack_into("<d", buf, ct._HEADER.size + 8, -220.0)
+        path.write_bytes(bytes(buf))
+        with pytest.raises(DataError, match="invalid F0 track"):
             ct.load_f0(path)
 
 
@@ -180,6 +198,16 @@ class TestCodecFiles:
         ct.save_codec(path, codec)
         path.write_bytes(path.read_bytes()[:100])
         with pytest.raises(DataError, match="truncated"):
+            ct.load_codec(path)
+
+    def test_rejects_nan_code_vector(self, tmp_path, tiny_codec):
+        codec, _ = tiny_codec
+        path = tmp_path / "codec.duss"
+        ct.save_codec(path, codec)
+        buf = bytearray(path.read_bytes())
+        struct.pack_into("<d", buf, ct._HEADER.size + ct._CODEC_FIXED.size, float("nan"))
+        path.write_bytes(bytes(buf))
+        with pytest.raises(DataError, match="invalid codebook"):
             ct.load_codec(path)
 
 

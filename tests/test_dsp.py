@@ -284,6 +284,16 @@ class TestGriffinLim:
         with pytest.raises(ValidationError):
             dsp.griffin_lim(mel, analysis_cfg, iterations=0)
 
+    def test_rejects_hop_over_frame_len_before_iterating(self, tone_440, analysis_cfg,
+                                                         monkeypatch):
+        mel = dsp.analyze(tone_440, analysis_cfg)
+        calls = []
+        monkeypatch.setattr(dsp, "_istft_array", lambda *a: calls.append(a))
+        bad = dsp.AnalysisConfig(frame_len=256, hop=analysis_cfg.hop)
+        with pytest.raises(ValidationError, match="0 < hop <= frame_len"):
+            dsp.griffin_lim(mel, bad, iterations=10**6)
+        assert calls == []
+
 
 class TestWavIO:
     def test_float32_round_trip(self, tmp_path, tone_440):

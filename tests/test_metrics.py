@@ -17,13 +17,11 @@ from duss.errors import ValidationError
 from conftest import FRAME_RATE
 
 
-def make_seq(tokens, vocab_size, stop=False):
+def make_seq(tokens, vocab_size):
     arr = np.asarray(tokens, dtype=np.int64)
     if arr.ndim == 1:
         arr = arr[None, :]
-    return TokenSequence(tokens=arr, vocab_size=vocab_size,
-                         frame_rate=FRAME_RATE,
-                         stop_token_id=vocab_size if stop else None)
+    return TokenSequence(tokens=arr, vocab_size=vocab_size, frame_rate=FRAME_RATE)
 
 
 def enumerate_paths(m, n):
@@ -115,23 +113,6 @@ class TestMeasuredBitrate:
         seq = make_seq([5] * 8, 16)
         got = mt.measured_bitrate([seq], [1.0])
         assert got == pytest.approx(8 * 1 * 1 / 1.0)
-
-    def test_per_utterance_codes_flag(self):
-        rich = make_seq([0, 1, 2, 3], 16)
-        poor = make_seq([0, 0, 0, 0], 16)
-        pooled = mt.measured_bitrate([rich, poor], [1.0, 1.0])
-        split = mt.measured_bitrate([rich, poor], [1.0, 1.0],
-                                    per_utterance_codes=True)
-        assert pooled == pytest.approx((4 * 2 + 4 * 2) / 2.0)
-        assert split == pytest.approx((4 * 2 + 4 * 1) / 2.0)
-        assert split < pooled
-
-    def test_include_stop_flag(self):
-        seq = make_seq([0, 1, 0], 8, stop=True)
-        base = mt.measured_bitrate([seq], [1.0])
-        stopped = mt.measured_bitrate([seq], [1.0], include_stop=True)
-        assert base == pytest.approx(3 * 1 * 1)
-        assert stopped == pytest.approx(4 * 1 * math.log2(3))
 
     @given(seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=50, deadline=None)

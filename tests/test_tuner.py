@@ -280,6 +280,17 @@ class TestHistoryIO:
         with pytest.raises(DataError, match="line 1"):
             tn.load_history_jsonl(path)
 
+    @pytest.mark.parametrize("row", [
+        '[0, 5, 0.5, 1.0]',
+        '{"index": 0, "k": "a", "p": 0.5, "temperature": 1.0, "score": 0.0, "seed": 0}',
+        '{"index": 0, "k": 0, "p": 0.5, "temperature": 1.0, "score": 0.0, "seed": 0}',
+    ])
+    def test_malformed_row_is_data_error(self, tmp_path, row):
+        path = tmp_path / "history.jsonl"
+        path.write_text(row + "\n")
+        with pytest.raises(DataError, match="line 1"):
+            tn.load_history_jsonl(path)
+
     def test_blank_lines_skipped(self, tmp_path):
         hist = tn.tune(tn.SearchSpace(), ConstantScorer(), stop_model, [0],
                        n_trials=2, seed=0)
