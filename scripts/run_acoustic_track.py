@@ -18,7 +18,7 @@ from duss import cli
 from duss.codec import encode, train_codebooks
 from duss.sampler import generate
 from duss.toylm import train_ngram
-from duss.tuner import DEFAULT_DEV_COUNT, CentroidScorer, SearchSpace, tune
+from duss.tuner import CentroidScorer, SearchSpace, tune
 
 ACOUSTIC_PRESETS = ("acoustic-1024", "acoustic-512", "acoustic-256")
 
@@ -56,7 +56,6 @@ def sweep(args) -> int:
     if args.tune_trials > 0:
         for cfg, codec, model in trained.values():
             history = tune(SearchSpace(), CentroidScorer(codec), model,
-                           dev_contexts=list(range(DEFAULT_DEV_COUNT)),
                            n_trials=args.tune_trials, seed=seed, max_len=cfg.max_len)
             cli.print_tuning(history, codec)
     return 0
@@ -66,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = cli._Parser(description=__doc__)
     parser.add_argument("manifest")
     cli._add_overrides(parser, ["codebook_size", "kmeans_iters", "order", "alpha", "max_len"])
-    parser.add_argument("--count", type=int, default=10, help="sequences per preset")
+    parser.add_argument("--count", type=cli.positive_int, default=10,
+                        help="sequences per preset")
     cli._add_seed(parser)
     parser.add_argument("--tune-trials", type=int, default=0,
                         help="if > 0, also run the tuner with this many trials")

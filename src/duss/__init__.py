@@ -15,14 +15,11 @@ from .codec import (
     train_codebooks,
 )
 from .containers import (
-    load_any,
     load_codec,
-    load_f0,
     load_features,
     load_ngram,
     load_tokens,
     save_codec,
-    save_f0,
     save_features,
     save_ngram,
     save_tokens,
@@ -54,10 +51,8 @@ from .dsp import (
 )
 from .errors import DataError, DussError, ValidationError
 from .metrics import (
-    AlignmentPath,
     LogF0Result,
     MetricReport,
-    dtw_align,
     log_f0_rmse,
     mcd,
     measured_bitrate,
@@ -84,21 +79,18 @@ from .tuner import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignmentPath", "AnalysisConfig", "CentroidScorer", "Codebook",
-    "CodecConfig", "CorpusManifest", "DataError", "DussError", "F0Track",
-    "FeatureKind", "FeatureMatrix", "GenerationResult", "LogF0Result",
-    "MetricReport", "NgramModel", "QuantizationReport", "RvqCodec",
-    "SamplingParams", "SearchSpace", "TokenSequence", "Trial",
-    "TuningHistory", "UtteranceEntry", "ValidationError", "Waveform",
-    "analyze", "apply_temperature", "decode", "decode_partial", "dtw_align",
-    "encode",
-    "estimate_f0", "filter_by_score", "filter_candidates", "filter_styles",
-    "generate", "griffin_lim", "load_any", "load_codec", "load_f0",
-    "load_features", "load_manifest", "load_ngram", "load_tokens",
-    "log_f0_rmse", "mcd", "measured_bitrate", "mel_cepstrum",
-    "mel_filterbank", "mel_spectrogram", "nominal_bitrate",
-    "param_importance", "quantization_report", "read_wav", "resample",
-    "sample_token", "save_codec", "save_f0", "save_features", "save_manifest",
-    "save_ngram", "save_tokens", "stft", "train_codebooks", "train_ngram",
-    "tune", "write_wav",
+    "AnalysisConfig", "CentroidScorer", "Codebook", "CodecConfig",
+    "CorpusManifest", "DataError", "DussError", "F0Track", "FeatureKind",
+    "FeatureMatrix", "GenerationResult", "LogF0Result", "MetricReport",
+    "NgramModel", "QuantizationReport", "RvqCodec", "SamplingParams",
+    "SearchSpace", "TokenSequence", "Trial", "TuningHistory", "UtteranceEntry",
+    "ValidationError", "Waveform", "analyze", "apply_temperature", "decode",
+    "decode_partial", "encode", "estimate_f0", "filter_by_score",
+    "filter_candidates", "filter_styles", "generate", "griffin_lim",
+    "load_codec", "load_features", "load_manifest", "load_ngram", "load_tokens",
+    "log_f0_rmse", "mcd", "measured_bitrate", "mel_cepstrum", "mel_filterbank",
+    "mel_spectrogram", "nominal_bitrate", "param_importance",
+    "quantization_report", "read_wav", "resample", "sample_token", "save_codec",
+    "save_features", "save_manifest", "save_ngram", "save_tokens", "stft",
+    "train_codebooks", "train_ngram", "tune", "write_wav",
 ]

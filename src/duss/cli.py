@@ -23,13 +23,12 @@ from . import containers, corpus, dsp, metrics, sampler, toylm, tuner
 from .codec import CodecConfig, RvqCodec, TokenSequence, decode_partial, train_codebooks
 from .codec import decode as codec_decode
 from .codec import encode as codec_encode
-from .errors import DataError, ValidationError
+from .errors import DataError, ValidationError, read_lines
 
-# One-flag reproductions of the submitted configurations: the two-stage
-# 16 kHz vocoder and the three single-stage acoustic systems with their
-# best tuned sampling triples.
+# One-flag reproductions of the submitted configurations: the three
+# single-stage acoustic systems with their best tuned sampling triples (the
+# two-stage 16 kHz vocoder is the defaults).
 PRESETS = {
-    "vocoder-16k": {"codebook_size": 1024, "num_quantizers": 2, "sample_rate": 16000},
     "acoustic-1024": {"codebook_size": 1024, "num_quantizers": 1,
                       "k": 11, "p": 0.186, "temperature": 0.507},
     "acoustic-512": {"codebook_size": 512, "num_quantizers": 1,
@@ -82,26 +81,21 @@ def _diag(event: str, **fields) -> None:
 def parse_config_file(path) -> Dict:
     """Plain-text key=value settings; '#' starts a comment."""
     values = {}
-    try:
-        fh = open(path)
-    except OSError as exc:
-        raise DataError(f"cannot read config file {path}: {exc}")
-    with fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValidationError(f"{path}:{line_no}: expected key=value, got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_SCHEMA:
-                raise ValidationError(f"{path}:{line_no}: unknown key {key!r}")
-            try:
-                values[key] = _CONFIG_SCHEMA[key](value)
-            except ValueError:
-                raise ValidationError(
-                    f"{path}:{line_no}: bad value {value!r} for {key} "
-                    f"({_CONFIG_SCHEMA[key].__name__})")
+    for line_no, line in enumerate(read_lines(path, "config file"), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValidationError(f"{path}:{line_no}: expected key=value, got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_SCHEMA:
+            raise ValidationError(f"{path}:{line_no}: unknown key {key!r}")
+        try:
+            values[key] = _CONFIG_SCHEMA[key](value)
+        except ValueError:
+            raise ValidationError(
+                f"{path}:{line_no}: bad value {value!r} for {key} "
+                f"({_CONFIG_SCHEMA[key].__name__})")
     return values
 
 
@@ -191,9 +185,8 @@ def split_features(manifest_path, analysis: dsp.AnalysisConfig, exclude_styles=N
     base = os.path.dirname(os.path.abspath(manifest_path))
     entries = [e for e in manifest.entries if not train_only or e.split == "train"]
     excluded = set(exclude_styles.split(",")) - {""} if exclude_styles else set()
-    kept, removed = corpus.filter_styles(
-        corpus.CorpusManifest(entries=tuple(entries), source_name=manifest.source_name),
-        excluded)
+    kept, removed = corpus.filter_styles(corpus.CorpusManifest(entries=tuple(entries)),
+                                         excluded)
     for tag, count in removed.items():
         _diag("excluded_style", style_tag=tag, removed=count)
     if len(kept) == 0:
@@ -356,9 +349,7 @@ def cmd_tune(args) -> int:
     space = tuner.SearchSpace(k_range=(args.k_min, args.k_max),
                               p_range=(args.p_min, args.p_max),
                               temp_range=(args.temp_min, args.temp_max))
-    scorer = tuner.CentroidScorer(codec)
-    dev_contexts = list(range(args.dev_count))
-    history = tuner.tune(space, scorer, model, dev_contexts,
+    history = tuner.tune(space, tuner.CentroidScorer(codec), model, args.dev_count,
                          n_trials=cfg.n_trials, seed=seed, max_len=cfg.max_len)
     tuner.save_history_jsonl(history, args.out)
     print_tuning(history, codec, args.importance_bins)
@@ -448,24 +439,19 @@ def cmd_corpus_filter(args) -> int:
 def _read_score_csv(path) -> Dict[str, float]:
     """Two-column CSV id,score with an optional header row."""
     table = {}
-    try:
-        fh = open(path)
-    except OSError as exc:
-        raise DataError(f"cannot read scores file {path}: {exc}")
-    with fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{line_no}: expected id,score")
-            if line_no == 1 and parts[1].strip() == "score":
-                continue
-            try:
-                table[parts[0].strip()] = float(parts[1])
-            except ValueError:
-                raise DataError(f"{path}:{line_no}: bad score {parts[1]!r}")
+    for line_no, line in enumerate(read_lines(path, "scores file"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise DataError(f"{path}:{line_no}: expected id,score")
+        if line_no == 1 and parts[1].strip() == "score":
+            continue
+        try:
+            table[parts[0].strip()] = float(parts[1])
+        except ValueError:
+            raise DataError(f"{path}:{line_no}: bad score {parts[1]!r}")
     return table
 
 
@@ -479,6 +465,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ValidationError(message)
+
+
+def positive_int(text: str) -> int:
+    """argparse type for a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_seed(parser: argparse.ArgumentParser) -> None:
@@ -546,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("lm")
     p.add_argument("codec")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=positive_int, default=1)
     _add_common(p)
     _add_overrides(p, ["k", "p", "temperature", "max_len", "frame_len", "window",
                        "gl_iterations"])

@@ -4,25 +4,28 @@ Two formats:
 
 * "DUSS": u32 version, u32 kind, u64 T, u64 D, frame rate as two u64
   (numerator, denominator), then a kind-specific payload. Kinds 1..3 are
-  feature matrices (row-major T x D f64), 4 is an F0 track (D = 1), 5 is a
-  trained codec, 6 is an n-gram model.
+  feature matrices (row-major T x D f64), 5 is a trained codec, 6 is an
+  n-gram model.
 * "DUST": u32 version, u32 V, u32 Q, u64 T, frame rate as two u64, then
   Q x T u32 tokens row-major by stage.
 
 Both formats are at version 2; files of any other version are rejected.
+Every save writes `<path>.tmp` and then moves it over `path`, so an
+interrupted save leaves no truncated file.
 """
 
 from __future__ import annotations
 
 import contextlib
+import os
 import struct
 from fractions import Fraction
-from typing import Union
+from typing import Iterable
 
 import numpy as np
 
 from .codec import Codebook, CodecConfig, RvqCodec, TokenSequence
-from .dsp import F0Track, FeatureKind, FeatureMatrix
+from .dsp import FeatureKind, FeatureMatrix
 from .errors import DataError, ValidationError
 from .toylm import NgramModel
 
@@ -30,12 +33,12 @@ MAGIC_DUSS = b"DUSS"
 MAGIC_DUST = b"DUST"
 VERSION = 2
 
-KIND_F0 = 4
 KIND_CODEC = 5
 KIND_NGRAM = 6
 
-_HEADER = struct.Struct("<4sIIQQQQ")  # magic, version, kind, T, D, rate num/den
-_DUST_HEADER = struct.Struct("<4sIIIQQQ")  # magic, version, V, Q, T, rate num/den
+# Both headers are magic, version, three format fields, rate num/den:
+# DUSS kind, T, D and DUST V, Q, T.
+_HEADERS = {MAGIC_DUSS: struct.Struct("<4sIIQQQQ"), MAGIC_DUST: struct.Struct("<4sIIIQQQ")}
 
 
 class _Reader:
@@ -70,27 +73,41 @@ class _Reader:
                 f"{self.path}: {len(self.buf) - self.off} trailing bytes after payload")
 
 
-def _rate_pair(rate: Fraction) -> tuple:
-    rate = Fraction(rate)
-    if rate < 0:
-        raise ValidationError(f"frame rate must be non-negative, got {rate}")
-    return rate.numerator, rate.denominator
-
-
-def _open_duss(path, expect_kind=None) -> tuple:
+def _open(path, magic: bytes, kinds=()) -> tuple:
+    """Read a container and check its header; a DUSS file's kind must be in
+    `kinds`. Returns (reader, the three format fields, frame rate)."""
     with open(path, "rb") as fh:
-        buf = fh.read()
-    reader = _Reader(buf, path)
-    magic, version, kind, t, d, num, den = reader.take_struct(_HEADER)
-    if magic != MAGIC_DUSS:
-        raise DataError(f"{path}: not a DUSS container (magic {magic!r})")
+        reader = _Reader(fh.read(), path)
+    found, version, *fields, num, den = reader.take_struct(_HEADERS[magic])
+    name = magic.decode()
+    if found != magic:
+        raise DataError(f"{path}: not a {name} file (magic {found!r})")
     if version != VERSION:
-        raise DataError(f"{path}: unsupported DUSS version {version}")
+        raise DataError(f"{path}: unsupported {name} version {version}")
     if den == 0:
         raise DataError(f"{path}: zero frame-rate denominator")
-    if expect_kind is not None and kind != expect_kind:
-        raise DataError(f"{path}: expected kind {expect_kind}, found {kind}")
-    return reader, kind, t, d, Fraction(num, den)
+    if kinds and fields[0] not in kinds:
+        raise DataError(f"{path}: found kind {fields[0]}, expected "
+                        + " or ".join(str(int(k)) for k in kinds))
+    return reader, fields, Fraction(num, den)
+
+
+def _write(path, magic: bytes, fields: tuple, rate, payload: Iterable[bytes]) -> None:
+    """Write the header and the payload chunks to `<path>.tmp`, then move it
+    over `path`; on any failure the temporary file is removed and `path` is
+    left as it was."""
+    rate = Fraction(rate)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_HEADERS[magic].pack(magic, VERSION, *fields,
+                                          rate.numerator, rate.denominator))
+            for chunk in payload:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 @contextlib.contextmanager
@@ -102,52 +119,26 @@ def _invalid_payload(path, what: str):
         raise DataError(f"{path}: invalid {what}: {exc}") from None
 
 
-def peek_kind(path) -> int:
-    """Kind code of a DUSS file without loading its payload."""
-    _, kind, _, _, _ = _open_duss(path)
-    return kind
+def _f8(array) -> bytes:
+    return np.ascontiguousarray(array, dtype="<f8").tobytes()
 
 
 # ---------------------------------------------------------------------------
-# Feature matrices and F0 tracks
+# Feature matrices
 
 
 def save_features(path, fm: FeatureMatrix) -> None:
-    num, den = _rate_pair(fm.frame_rate)
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC_DUSS, VERSION, int(fm.kind),
-                              fm.num_frames, fm.dim, num, den))
-        fh.write(np.ascontiguousarray(fm.data, dtype="<f8").tobytes())
+    _write(path, MAGIC_DUSS, (int(fm.kind), fm.num_frames, fm.dim), fm.frame_rate,
+           [_f8(fm.data)])
 
 
 def load_features(path) -> FeatureMatrix:
-    reader, kind, t, d, rate = _open_duss(path)
-    if kind not in (FeatureKind.MEL_SPECTROGRAM, FeatureKind.MEL_CEPSTRUM,
-                    FeatureKind.DECODED):
-        raise DataError(f"{path}: kind {kind} is not a feature matrix")
+    reader, (kind, t, d), rate = _open(path, MAGIC_DUSS, kinds=tuple(FeatureKind))
     data = reader.take_array("<f8", t * d).reshape(t, d)
     reader.done()
     with _invalid_payload(path, "feature matrix"):
         return FeatureMatrix(data=data.astype(np.float64), frame_rate=rate,
                              kind=FeatureKind(kind))
-
-
-def save_f0(path, track: F0Track) -> None:
-    num, den = _rate_pair(track.frame_rate)
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC_DUSS, VERSION, KIND_F0,
-                              len(track.values), 1, num, den))
-        fh.write(np.ascontiguousarray(track.values, dtype="<f8").tobytes())
-
-
-def load_f0(path) -> F0Track:
-    reader, _, t, d, rate = _open_duss(path, expect_kind=KIND_F0)
-    if d != 1:
-        raise DataError(f"{path}: F0 track must have D = 1, found {d}")
-    values = reader.take_array("<f8", t)
-    reader.done()
-    with _invalid_payload(path, "F0 track"):
-        return F0Track(values=values.astype(np.float64), frame_rate=rate)
 
 
 # ---------------------------------------------------------------------------
@@ -160,23 +151,19 @@ def save_codec(path, codec: RvqCodec) -> None:
     cfg = codec.config
     if cfg.seed < 0:
         raise ValidationError(f"cannot serialize negative seed {cfg.seed}")
-    num, den = _rate_pair(cfg.frame_rate)
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC_DUSS, VERSION, KIND_CODEC,
-                              cfg.num_quantizers, cfg.feature_dim, num, den))
-        fh.write(_CODEC_FIXED.pack(
-            cfg.codebook_size, cfg.num_quantizers, cfg.hop, cfg.sample_rate,
-            cfg.feature_dim, cfg.kmeans_iters, cfg.seed))
-        for stage in codec.stages:
-            fh.write(np.ascontiguousarray(stage.vectors, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(stage.usage_counts, dtype="<u8").tobytes())
-        mse = list(codec.stage_train_mse)
-        fh.write(struct.pack("<I", len(mse)))
-        fh.write(np.asarray(mse, dtype="<f8").tobytes())
+    mse = list(codec.stage_train_mse)
+    payload = [_CODEC_FIXED.pack(cfg.codebook_size, cfg.num_quantizers, cfg.hop,
+                                 cfg.sample_rate, cfg.feature_dim, cfg.kmeans_iters, cfg.seed)]
+    for stage in codec.stages:
+        payload += [_f8(stage.vectors),
+                    np.ascontiguousarray(stage.usage_counts, dtype="<u8").tobytes()]
+    payload += [struct.pack("<I", len(mse)), _f8(mse)]
+    _write(path, MAGIC_DUSS, (KIND_CODEC, cfg.num_quantizers, cfg.feature_dim),
+           cfg.frame_rate, payload)
 
 
 def load_codec(path) -> RvqCodec:
-    reader, _, t, d, _ = _open_duss(path, expect_kind=KIND_CODEC)
+    reader, (_, t, d), _ = _open(path, MAGIC_DUSS, kinds=(KIND_CODEC,))
     v, q, hop, sample_rate, feature_dim, kmeans_iters, seed = reader.take_struct(_CODEC_FIXED)
     if (t, d) != (q, feature_dim):
         raise DataError(f"{path}: header ({t}, {d}) disagrees with codec "
@@ -202,26 +189,14 @@ def load_codec(path) -> RvqCodec:
 
 
 def save_tokens(path, seq: TokenSequence) -> None:
-    num, den = _rate_pair(seq.frame_rate)
-    with open(path, "wb") as fh:
-        fh.write(_DUST_HEADER.pack(MAGIC_DUST, VERSION, seq.vocab_size,
-                                   seq.num_stages, seq.num_frames, num, den))
-        fh.write(np.ascontiguousarray(seq.tokens, dtype="<u4").tobytes())
+    _write(path, MAGIC_DUST, (seq.vocab_size, seq.num_stages, seq.num_frames),
+           seq.frame_rate, [np.ascontiguousarray(seq.tokens, dtype="<u4").tobytes()])
 
 
 def load_tokens(path) -> TokenSequence:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    reader = _Reader(buf, path)
-    magic, version, v, q, t, num, den = reader.take_struct(_DUST_HEADER)
-    if magic != MAGIC_DUST:
-        raise DataError(f"{path}: not a DUST token file (magic {magic!r})")
-    if version != VERSION:
-        raise DataError(f"{path}: unsupported DUST version {version}")
+    reader, (v, q, t), rate = _open(path, MAGIC_DUST)
     if v < 1 or q < 1:
         raise DataError(f"{path}: invalid V={v}, Q={q}")
-    if den == 0:
-        raise DataError(f"{path}: zero frame-rate denominator")
     tokens = reader.take_array("<u4", q * t).reshape(q, t)
     reader.done()
     bad = np.nonzero(tokens >= v)
@@ -229,8 +204,7 @@ def load_tokens(path) -> TokenSequence:
         s, f = int(bad[0][0]), int(bad[1][0])
         raise DataError(f"{path}: token id {int(tokens[s, f])} >= V={v} "
                         f"at stage {s}, frame {f}")
-    return TokenSequence(tokens=tokens.astype(np.int64), vocab_size=v,
-                         frame_rate=Fraction(num, den))
+    return TokenSequence(tokens=tokens.astype(np.int64), vocab_size=v, frame_rate=rate)
 
 
 # ---------------------------------------------------------------------------
@@ -240,22 +214,22 @@ def load_tokens(path) -> TokenSequence:
 def save_ngram(path, model: NgramModel) -> None:
     """Contexts are written sorted by (length, tokens) with sparse non-zero
     count entries, so equal models serialize byte-identically."""
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC_DUSS, VERSION, KIND_NGRAM,
-                              model.order, model.vocab_size, 0, 1))
-        fh.write(struct.pack("<dQ", model.alpha, len(model.counts)))
-        for ctx in sorted(model.counts, key=lambda c: (len(c), c)):
-            row = model.counts[ctx]
-            nz = np.nonzero(row)[0]
-            fh.write(struct.pack("<I", len(ctx)))
-            fh.write(np.asarray(ctx, dtype="<u4").tobytes())
-            fh.write(struct.pack("<I", len(nz)))
-            fh.write(np.ascontiguousarray(nz, dtype="<u4").tobytes())
-            fh.write(np.ascontiguousarray(row[nz], dtype="<u8").tobytes())
+    _write(path, MAGIC_DUSS, (KIND_NGRAM, model.order, model.vocab_size), 0,
+           _ngram_payload(model))
+
+
+def _ngram_payload(model: NgramModel):
+    yield struct.pack("<dQ", model.alpha, len(model.counts))
+    for ctx in sorted(model.counts, key=lambda c: (len(c), c)):
+        row = model.counts[ctx]
+        nz = np.nonzero(row)[0]
+        yield struct.pack("<I", len(ctx)) + np.asarray(ctx, dtype="<u4").tobytes()
+        yield struct.pack("<I", len(nz)) + np.ascontiguousarray(nz, dtype="<u4").tobytes()
+        yield np.ascontiguousarray(row[nz], dtype="<u8").tobytes()
 
 
 def load_ngram(path) -> NgramModel:
-    reader, _, order, vocab_size, _ = _open_duss(path, expect_kind=KIND_NGRAM)
+    reader, (_, order, vocab_size), _ = _open(path, MAGIC_DUSS, kinds=(KIND_NGRAM,))
     alpha, n_contexts = reader.take_struct(struct.Struct("<dQ"))
     with _invalid_payload(path, "model header"):
         model = NgramModel(order=int(order), vocab_size=int(vocab_size), alpha=alpha)
@@ -275,22 +249,3 @@ def load_ngram(path) -> NgramModel:
         model.counts[ctx] = row
     reader.done()
     return model
-
-
-# ---------------------------------------------------------------------------
-# Generic loading
-
-
-def load_any(path) -> Union[FeatureMatrix, F0Track, RvqCodec, NgramModel]:
-    """Dispatch a DUSS file to the loader matching its kind code."""
-    kind = peek_kind(path)
-    if kind in (FeatureKind.MEL_SPECTROGRAM, FeatureKind.MEL_CEPSTRUM,
-                FeatureKind.DECODED):
-        return load_features(path)
-    if kind == KIND_F0:
-        return load_f0(path)
-    if kind == KIND_CODEC:
-        return load_codec(path)
-    if kind == KIND_NGRAM:
-        return load_ngram(path)
-    raise DataError(f"{path}: unknown DUSS kind {kind}")

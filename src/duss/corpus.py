@@ -10,7 +10,7 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from .errors import DataError, ValidationError
+from .errors import DataError, ValidationError, read_lines
 
 SPLITS = ("train", "dev", "test")
 
@@ -39,7 +39,6 @@ class UtteranceEntry:
 @dataclass(frozen=True)
 class CorpusManifest:
     entries: Tuple[UtteranceEntry, ...]
-    source_name: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
@@ -60,8 +59,7 @@ class CorpusManifest:
         return {e.style_tag for e in self.entries}
 
 
-def load_manifest(path, source_name: Optional[str] = None,
-                  check_audio: bool = True) -> CorpusManifest:
+def load_manifest(path, check_audio: bool = True) -> CorpusManifest:
     """Read a JSON-lines manifest; rows that fail to parse name their line.
 
     Audio paths are resolved relative to the manifest's directory when
@@ -69,23 +67,20 @@ def load_manifest(path, source_name: Optional[str] = None,
     """
     entries = []
     base = os.path.dirname(os.path.abspath(path))
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-                entry = UtteranceEntry(
-                    id=row["id"], audio_path=row["audio_path"],
-                    style_tag=row["style_tag"], duration=row["duration"],
-                    transcript=row.get("transcript"), split=row["split"])
-            except (KeyError, TypeError, ValueError, ValidationError) as exc:
-                raise DataError(f"{path}: bad manifest row on line {line_no}: {exc}")
-            entries.append(entry)
-    if source_name is None:
-        source_name = os.path.splitext(os.path.basename(path))[0]
-    manifest = CorpusManifest(entries=tuple(entries), source_name=source_name)
+    for line_no, line in enumerate(read_lines(path, "manifest"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = json.loads(line)
+            entry = UtteranceEntry(
+                id=row["id"], audio_path=row["audio_path"],
+                style_tag=row["style_tag"], duration=row["duration"],
+                transcript=row.get("transcript"), split=row["split"])
+        except (KeyError, TypeError, ValueError, ValidationError) as exc:
+            raise DataError(f"{path}: bad manifest row on line {line_no}: {exc}")
+        entries.append(entry)
+    manifest = CorpusManifest(entries=tuple(entries))
     if check_audio:
         for missing in missing_audio(manifest, base):
             warnings.warn(f"{path}: audio file not found: {missing}", stacklevel=2)

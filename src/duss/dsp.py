@@ -492,12 +492,6 @@ def read_wav(path) -> Waveform:
     return Waveform(samples, int(rate))
 
 
-def write_wav(path, w: Waveform, encoding: str = "float32") -> None:
-    """Write a mono WAV file as IEEE float32 (default) or PCM16."""
-    if encoding == "float32":
-        wavfile.write(path, w.sample_rate, w.samples.astype(np.float32))
-    elif encoding == "pcm16":
-        clipped = np.clip(w.samples, -1.0, 1.0)
-        wavfile.write(path, w.sample_rate, np.round(clipped * 32767.0).astype(np.int16))
-    else:
-        raise ValidationError(f"unknown encoding {encoding!r}, expected 'float32' or 'pcm16'")
+def write_wav(path, w: Waveform) -> None:
+    """Write a mono IEEE float32 WAV file."""
+    wavfile.write(path, w.sample_rate, w.samples.astype(np.float32))

@@ -1,9 +1,11 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the reader of text inputs.
 
 ValidationError covers bad parameters and violated preconditions (CLI exit
 code 1); DataError covers unreadable, malformed, or inconsistent data files
 (CLI exit code 2).
 """
+
+from typing import List
 
 
 class DussError(Exception):
@@ -16,3 +18,13 @@ class ValidationError(DussError):
 
 class DataError(DussError):
     """Missing, malformed, or mutually inconsistent data."""
+
+
+def read_lines(path, what: str) -> List[str]:
+    """The lines of a UTF-8 text file; a file that cannot be opened or decoded
+    raises DataError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return list(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from None

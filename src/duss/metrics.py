@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -63,28 +63,6 @@ def measured_bitrate(sequences: Sequence[TokenSequence], durations: Sequence[flo
 # DTW alignment
 
 
-@dataclass(frozen=True)
-class AlignmentPath:
-    """Monotone warping path as an (L, 2) array of (x, y) index pairs."""
-
-    pairs: np.ndarray
-    cost: float
-
-    def __post_init__(self):
-        pairs = np.asarray(self.pairs, dtype=np.int64)
-        object.__setattr__(self, "pairs", pairs)
-        if pairs.ndim != 2 or pairs.shape[1] != 2 or len(pairs) == 0:
-            raise ValidationError(f"path must be a non-empty (L, 2) array, got {pairs.shape}")
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
-def euclidean_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pairwise euclidean distances between the rows of two matrices."""
-    return cdist(np.atleast_2d(x), np.atleast_2d(y))
-
-
 def _as_frames(x) -> np.ndarray:
     data = x.data if isinstance(x, FeatureMatrix) else np.asarray(x, dtype=np.float64)
     if data.ndim != 2:
@@ -92,28 +70,13 @@ def _as_frames(x) -> np.ndarray:
     return data
 
 
-def dtw_align(x, y, distance: Callable[[np.ndarray, np.ndarray], np.ndarray]
-              = euclidean_distance) -> AlignmentPath:
-    """Minimal-cost monotone alignment with steps (1,0), (0,1), (1,1).
-
-    `distance` maps two frame matrices to their pairwise cost matrix. The
-    path runs from (0, 0) to (T_x-1, T_y-1); when step costs tie, the
-    diagonal is preferred, then advancing x, then advancing y.
-    """
-    xa, ya = _as_frames(x), _as_frames(y)
-    if len(xa) == 0 or len(ya) == 0:
-        raise ValidationError("dtw_align requires non-empty inputs")
-    if xa.shape[1] != ya.shape[1]:
-        raise ValidationError(f"dimension mismatch: {xa.shape[1]} vs {ya.shape[1]}")
-    local = np.asarray(distance(xa, ya), dtype=np.float64)
-    if local.shape != (len(xa), len(ya)):
-        raise ValidationError(
-            f"distance returned shape {local.shape}, expected {(len(xa), len(ya))}")
-    return _dtw_from_cost(local)
-
-
-def _dtw_from_cost(local: np.ndarray) -> AlignmentPath:
+def _dtw_from_cost(local: np.ndarray) -> Tuple[np.ndarray, float]:
+    """Minimal-cost monotone alignment over a cost matrix with steps (1,0),
+    (0,1), (1,1), as ((L, 2) index pairs from (0, 0) to the last cell, cost).
+    When step costs tie, the diagonal is preferred, then advancing x, then y."""
     tx, ty = local.shape
+    if tx == 0 or ty == 0:
+        raise ValidationError("DTW requires non-empty inputs")
     cum = np.empty_like(local)
     cum[0, 0] = local[0, 0]
     cum[0, 1:] = local[0, 1:].cumsum() + local[0, 0]
@@ -146,7 +109,7 @@ def _dtw_from_cost(local: np.ndarray) -> AlignmentPath:
                 j -= 1
         pairs.append((i, j))
     pairs.reverse()
-    return AlignmentPath(pairs=np.array(pairs, dtype=np.int64), cost=float(cum[-1, -1]))
+    return np.array(pairs, dtype=np.int64), float(cum[-1, -1])
 
 
 # ---------------------------------------------------------------------------
@@ -161,15 +124,13 @@ def mcd(ref, syn) -> float:
     MCD_CONST * sqrt(sum of squared coefficient differences).
     """
     ra, sa = _as_frames(ref), _as_frames(syn)
-    if len(ra) == 0 or len(sa) == 0:
-        raise ValidationError("mcd requires non-empty inputs")
     if ra.shape[1] != sa.shape[1]:
         raise ValidationError(f"dimension mismatch: {ra.shape[1]} vs {sa.shape[1]}")
     if ra.shape[1] < 2:
         raise ValidationError("mcd needs at least 2 cepstral coefficients")
     dist = MCD_CONST * cdist(ra[:, 1:], sa[:, 1:])
-    path = _dtw_from_cost(dist)
-    return float(np.mean(dist[path.pairs[:, 0], path.pairs[:, 1]]))
+    pairs, _ = _dtw_from_cost(dist)
+    return float(np.mean(dist[pairs[:, 0], pairs[:, 1]]))
 
 
 @dataclass(frozen=True)
@@ -198,8 +159,8 @@ def log_f0_rmse(ref: F0Track, syn: F0Track) -> LogF0Result:
     neither = np.outer(~rv, ~sv)
     cost = np.where(both, np.abs(log_r[:, None] - log_s[None, :]),
                     np.where(neither, 0.0, VOICING_MISMATCH_COST))
-    path = _dtw_from_cost(cost)
-    xi, yi = path.pairs[:, 0], path.pairs[:, 1]
+    pairs, _ = _dtw_from_cost(cost)
+    xi, yi = pairs[:, 0], pairs[:, 1]
     keep = rv[xi] & sv[yi]
     if not np.any(keep):
         return LogF0Result(rmse=0.0, no_overlap=True, num_pairs=0)

@@ -143,8 +143,6 @@ def generate(model, params: SamplingParams, max_len: int, rng: np.random.Generat
             natural = True
             break
         context.append(int(token))
-    if stop_id is None:
-        raise ValidationError("model produced no logits")
     tokens = np.asarray([context], dtype=np.int64)
     seq = TokenSequence(tokens=tokens, vocab_size=stop_id, frame_rate=frame_rate,
                         stop_token_id=stop_id)

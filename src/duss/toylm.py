@@ -7,7 +7,7 @@ token streams, with a stop id appended to every training utterance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -49,19 +49,16 @@ class NgramModel:
 
 
 def train_ngram(corpora: Sequence[TokenSequence], n: int = DEFAULT_ORDER,
-                alpha: float = DEFAULT_ALPHA,
-                vocab_size: Optional[int] = None) -> NgramModel:
+                alpha: float = DEFAULT_ALPHA) -> NgramModel:
     """Accumulate context counts over token corpora.
 
     Every stage stream of every sequence counts as one utterance, with the
-    stop id appended. All corpora must share the same token vocabulary;
-    vocab_size (V + 1, including stop) may be given explicitly to train on
-    an empty corpus.
+    stop id appended. All corpora must share the first one's token
+    vocabulary; the model's vocab_size is that V + 1, including stop.
     """
-    if vocab_size is None:
-        if not corpora:
-            raise ValidationError("empty corpus requires an explicit vocab_size")
-        vocab_size = corpora[0].vocab_size + 1
+    if not corpora:
+        raise ValidationError("train_ngram needs at least one token sequence")
+    vocab_size = corpora[0].vocab_size + 1
     model = NgramModel(order=n, vocab_size=vocab_size, alpha=alpha)
     for seq in corpora:
         if seq.vocab_size + 1 != vocab_size:

@@ -6,12 +6,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, List, Protocol, Sequence
+from typing import List, Protocol
 
 import numpy as np
 
 from .codec import RvqCodec, TokenSequence, decode_partial
-from .errors import DataError, ValidationError
+from .errors import DataError, ValidationError, read_lines
 from .sampler import DEFAULT_MAX_LEN, SamplingParams, generate
 
 PARAM_NAMES = ("k", "p", "temperature")
@@ -81,9 +81,7 @@ class ScoreContext:
     """Everything a scorer may want about the trial that produced a sequence."""
 
     params: SamplingParams
-    dev_context: Any
     natural: bool
-    trial_index: int
 
 
 class QualityScorer(Protocol):
@@ -132,30 +130,30 @@ def sample_params(space: SearchSpace, rng: np.random.Generator) -> SamplingParam
     return SamplingParams(k=k, p=p, temperature=temperature)
 
 
-def tune(space: SearchSpace, scorer: QualityScorer, model, dev_contexts: Sequence,
-         n_trials: int, seed: int, max_len: int = DEFAULT_MAX_LEN) -> TuningHistory:
-    """Uniform random search maximizing the mean scorer value over dev contexts.
+def tune(space: SearchSpace, scorer: QualityScorer, model,
+         dev_count: int = DEFAULT_DEV_COUNT, *, n_trials: int, seed: int,
+         max_len: int = DEFAULT_MAX_LEN) -> TuningHistory:
+    """Uniform random search maximizing the mean scorer value over `dev_count`
+    generations per trial.
 
     Per trial the master generator draws (k, p, temperature, trial seed) in
-    that order; generation for dev context j uses default_rng([trial_seed, j]).
+    that order; generation j uses default_rng([trial_seed, j]).
     Histories are bit-reproducible from (space, seed, n_trials). A scorer
     returning a non-finite value marks the trial flagged with score -inf.
     """
     if n_trials < 1:
         raise ValidationError(f"n_trials must be >= 1, got {n_trials}")
-    if not dev_contexts:
-        raise ValidationError("dev_contexts must be non-empty")
+    if dev_count < 1:
+        raise ValidationError(f"dev_count must be >= 1, got {dev_count}")
     rng = np.random.default_rng(seed)
     trials = []
     for index in range(n_trials):
         params = sample_params(space, rng)
         trial_seed = int(rng.integers(0, 2 ** 63))
         scores = []
-        for j, dev_context in enumerate(dev_contexts):
-            gen_rng = np.random.default_rng([trial_seed, j])
-            result = generate(model, params, max_len, gen_rng)
-            ctx = ScoreContext(params=params, dev_context=dev_context,
-                               natural=result.natural, trial_index=index)
+        for j in range(dev_count):
+            result = generate(model, params, max_len, np.random.default_rng([trial_seed, j]))
+            ctx = ScoreContext(params=params, natural=result.natural)
             scores.append(float(scorer.score(result.sequence, ctx)))
         mean_score = float(np.mean(scores))
         flagged = not math.isfinite(mean_score)
@@ -216,21 +214,20 @@ def save_history_jsonl(history: TuningHistory, path) -> None:
 
 def load_history_jsonl(path) -> TuningHistory:
     trials = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-                trial = Trial(index=row["index"],
-                              params=SamplingParams(k=row["k"], p=row["p"],
-                                                    temperature=row["temperature"]),
-                              score=row["score"], seed=row["seed"],
-                              flagged=row.get("flagged", False))
-            except (KeyError, TypeError, ValueError, ValidationError) as exc:
-                raise DataError(f"{path}: bad trial record on line {line_no}: {exc}")
-            trials.append(trial)
+    for line_no, line in enumerate(read_lines(path, "tuning history"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = json.loads(line)
+            trial = Trial(index=row["index"],
+                          params=SamplingParams(k=row["k"], p=row["p"],
+                                                temperature=row["temperature"]),
+                          score=row["score"], seed=row["seed"],
+                          flagged=row.get("flagged", False))
+        except (KeyError, TypeError, ValueError, ValidationError) as exc:
+            raise DataError(f"{path}: bad trial record on line {line_no}: {exc}")
+        trials.append(trial)
     if not trials:
         raise DataError(f"{path}: empty tuning history")
     return TuningHistory(trials=trials)

@@ -11,10 +11,10 @@ import struct
 import numpy as np
 import pytest
 
-from duss import cli, containers
+from duss import cli, containers, corpus, tuner
 from duss.codec import TokenSequence
 from duss.dsp import read_wav
-from duss.errors import ValidationError
+from duss.errors import DataError, ValidationError
 
 from conftest import FRAME_RATE, write_corpus
 
@@ -82,6 +82,30 @@ class TestParsing:
                        "--out", str(tmp_path / "c.duss")])
         assert rc == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("reader, argv", [
+        (corpus.load_manifest, lambda ws, bad, out: ["train-codec", bad, "--out", out]),
+        (tuner.load_history_jsonl, None),
+        (cli.parse_config_file, lambda ws, bad, out: [
+            "train-codec", ws["manifest"], "--out", out, "--config", bad]),
+        (cli._read_score_csv, lambda ws, bad, out: [
+            "corpus-filter", ws["manifest"], "--out", out, "--min-score", "0",
+            "--scores", bad]),
+    ], ids=["manifest", "history", "config", "scores"])
+    def test_non_utf8_text_input_is_data_error(self, workspace, tmp_path, capsys,
+                                               reader, argv):
+        bad = str(tmp_path / "utf16.txt")
+        with open(bad, "wb") as fh:
+            fh.write(b"\xff\xfei\x00d\x00")
+        with pytest.raises(DataError, match="utf16.txt"):
+            reader(bad)
+        if argv is not None:
+            assert cli.main(argv(workspace, bad, str(tmp_path / "out"))) == 2
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1
+            event = json.loads(lines[0])
+            assert event["event"] == "error" and event["kind"] == "data"
+            assert bad in event["message"]
 
 
 class TestSettings:
@@ -328,6 +352,18 @@ class TestTrainLm:
 
 
 class TestGenerate:
+    def test_count_below_one_rejected(self, workspace, tmp_path, capsys):
+        out = tmp_path / "gen"
+        rc = cli.main(["generate", workspace["lm"], workspace["codec"],
+                       "--out-dir", str(out), "--count", "0"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert "--count: must be >= 1, got 0" in json.loads(lines[0])["message"]
+        assert not out.exists()
+
     def test_writes_tokens_and_wavs(self, workspace, tmp_path, capsys):
         out = tmp_path / "gen"
         rc = cli.main(["generate", workspace["lm"], workspace["codec"],

@@ -1,6 +1,7 @@
 """Binary container round trips and corruption handling for the DUSS and
 DUST file formats."""
 
+import os
 import struct
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 
 from duss import containers as ct
 from duss.codec import CodecConfig, RvqCodec, TokenSequence, train_codebooks
-from duss.dsp import F0Track, FeatureKind, FeatureMatrix
+from duss.dsp import FeatureKind, FeatureMatrix
 from duss.errors import DataError, ValidationError
 from duss.toylm import train_ngram
 
@@ -33,7 +34,6 @@ class TestFormatConstants:
         assert int(FeatureKind.MEL_SPECTROGRAM) == 1
         assert int(FeatureKind.MEL_CEPSTRUM) == 2
         assert int(FeatureKind.DECODED) == 3
-        assert ct.KIND_F0 == 4
         assert ct.KIND_CODEC == 5
         assert ct.KIND_NGRAM == 6
 
@@ -106,52 +106,20 @@ class TestFeatureFiles:
         with pytest.raises(DataError, match="trailing"):
             ct.load_features(path)
 
-    def test_rejects_non_feature_kind(self, tmp_path):
-        path = tmp_path / "f0.duss"
-        ct.save_f0(path, F0Track(np.array([100.0]), FRAME_RATE))
-        with pytest.raises(DataError, match="not a feature matrix"):
+    def test_rejects_non_feature_kind(self, tmp_path, tiny_codec):
+        path = tmp_path / "codec.duss"
+        ct.save_codec(path, tiny_codec[0])
+        with pytest.raises(DataError, match="found kind 5, expected 1 or 2 or 3"):
             ct.load_features(path)
 
     def test_rejects_nan_feature(self, tmp_path):
         path = tmp_path / "nan.duss"
         ct.save_features(path, make_feature_matrix(np.random.default_rng(0), 3, 4))
         buf = bytearray(path.read_bytes())
-        struct.pack_into("<d", buf, ct._HEADER.size + 8, float("nan"))
+        struct.pack_into("<d", buf, ct._HEADERS[ct.MAGIC_DUSS].size + 8, float("nan"))
         path.write_bytes(bytes(buf))
         with pytest.raises(DataError, match="invalid feature matrix"):
             ct.load_features(path)
-
-
-class TestF0Files:
-    def test_round_trip(self, tmp_path):
-        track = F0Track(np.array([0.0, 220.0, 230.5, 0.0]), Fraction(100, 3))
-        path = tmp_path / "f0.duss"
-        ct.save_f0(path, track)
-        got = ct.load_f0(path)
-        np.testing.assert_array_equal(got.values, track.values)
-        assert got.frame_rate == track.frame_rate
-
-    def test_rejects_bad_dimension(self, tmp_path):
-        path = tmp_path / "wide.duss"
-        header = ct._HEADER.pack(b"DUSS", ct.VERSION, ct.KIND_F0, 1, 2, 50, 1)
-        path.write_bytes(header + np.zeros(2).tobytes())
-        with pytest.raises(DataError, match="D = 1"):
-            ct.load_f0(path)
-
-    def test_rejects_wrong_kind(self, tmp_path):
-        path = tmp_path / "fm.duss"
-        ct.save_features(path, make_feature_matrix(np.random.default_rng(0), 2, 2))
-        with pytest.raises(DataError, match="expected kind 4"):
-            ct.load_f0(path)
-
-    def test_rejects_negative_value(self, tmp_path):
-        path = tmp_path / "neg.duss"
-        ct.save_f0(path, F0Track(np.array([0.0, 220.0]), FRAME_RATE))
-        buf = bytearray(path.read_bytes())
-        struct.pack_into("<d", buf, ct._HEADER.size + 8, -220.0)
-        path.write_bytes(bytes(buf))
-        with pytest.raises(DataError, match="invalid F0 track"):
-            ct.load_f0(path)
 
 
 class TestCodecFiles:
@@ -205,7 +173,8 @@ class TestCodecFiles:
         path = tmp_path / "codec.duss"
         ct.save_codec(path, codec)
         buf = bytearray(path.read_bytes())
-        struct.pack_into("<d", buf, ct._HEADER.size + ct._CODEC_FIXED.size, float("nan"))
+        offset = ct._HEADERS[ct.MAGIC_DUSS].size + ct._CODEC_FIXED.size
+        struct.pack_into("<d", buf, offset, float("nan"))
         path.write_bytes(bytes(buf))
         with pytest.raises(DataError, match="invalid codebook"):
             ct.load_codec(path)
@@ -320,34 +289,42 @@ class TestNgramFiles:
             ct.load_ngram(path)
 
 
+class TestAtomicWrite:
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        """A save that raises part-way through its payload leaves the previous
+        file byte-identical, a new path absent, and no temporary file."""
+        model = self_model()
+        old, new = tmp_path / "old.duss", tmp_path / "new.duss"
+        ct.save_ngram(old, model)
+        before = old.read_bytes()
+        # sorts after the valid contexts, and is no u32 token id
+        model.counts[(2 ** 40,)] = np.ones(model.vocab_size, dtype=np.int64)
+        for path in (old, new):
+            with pytest.raises(OverflowError):
+                ct.save_ngram(path, model)
+        assert old.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["old.duss"]
+
+
 class TestDispatch:
-    def test_peek_and_load_any(self, tmp_path, tiny_codec):
-        codec, fm = tiny_codec
-        paths = {}
-
-        paths["features"] = tmp_path / "fm.duss"
-        ct.save_features(paths["features"], fm)
-        paths["f0"] = tmp_path / "f0.duss"
-        ct.save_f0(paths["f0"], F0Track(np.array([100.0, 0.0]), FRAME_RATE))
-        paths["codec"] = tmp_path / "codec.duss"
-        ct.save_codec(paths["codec"], codec)
-        paths["ngram"] = tmp_path / "lm.duss"
-        ct.save_ngram(paths["ngram"], self_model())
-
-        assert ct.peek_kind(paths["features"]) == int(FeatureKind.MEL_SPECTROGRAM)
-        assert ct.peek_kind(paths["codec"]) == ct.KIND_CODEC
-
-        assert isinstance(ct.load_any(paths["features"]), FeatureMatrix)
-        assert isinstance(ct.load_any(paths["f0"]), F0Track)
-        assert isinstance(ct.load_any(paths["codec"]), RvqCodec)
-        assert type(ct.load_any(paths["ngram"])).__name__ == "NgramModel"
+    def test_wrong_kind_rejected(self, tmp_path, tiny_codec):
+        """Each loader accepts only its own kind codes."""
+        fm_path, lm_path = tmp_path / "fm.duss", tmp_path / "lm.duss"
+        ct.save_features(fm_path, tiny_codec[1])
+        ct.save_ngram(lm_path, self_model())
+        with pytest.raises(DataError, match="found kind 1, expected 5"):
+            ct.load_codec(fm_path)
+        with pytest.raises(DataError, match="found kind 6, expected 5"):
+            ct.load_codec(lm_path)
+        with pytest.raises(DataError, match="found kind 1, expected 6"):
+            ct.load_ngram(fm_path)
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "odd.duss"
-        header = ct._HEADER.pack(b"DUSS", ct.VERSION, 42, 0, 0, 0, 1)
+        header = ct._HEADERS[ct.MAGIC_DUSS].pack(b"DUSS", ct.VERSION, 42, 0, 0, 0, 1)
         path.write_bytes(header)
         with pytest.raises(DataError, match="kind 42"):
-            ct.load_any(path)
+            ct.load_features(path)
 
 
 def self_model():

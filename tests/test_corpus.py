@@ -21,7 +21,7 @@ def entry(i, style="read", split="train", duration=1.0):
 def mixed_manifest():
     entries = [entry(0, "read"), entry(1, "whisper"), entry(2, "laughing"),
                entry(3, "read"), entry(4, "whisper", split="dev")]
-    return cp.CorpusManifest(entries=tuple(entries), source_name="mixed")
+    return cp.CorpusManifest(entries=tuple(entries))
 
 
 STYLES = ("read", "whisper", "laughing", "sad")
@@ -31,7 +31,7 @@ def random_manifest(seed):
     rng = np.random.default_rng(seed)
     entries = tuple(entry(i, STYLES[rng.integers(0, len(STYLES))])
                     for i in range(rng.integers(1, 10)))
-    return cp.CorpusManifest(entries=entries, source_name="rand")
+    return cp.CorpusManifest(entries=entries)
 
 
 class TestEntryValidation:
@@ -62,7 +62,6 @@ class TestLoadSave:
         path.write_text("")
         manifest = cp.load_manifest(path)
         assert len(manifest) == 0
-        assert manifest.source_name == "empty"
 
     def test_three_row_fixture_round_trips(self, tmp_path):
         rows = [

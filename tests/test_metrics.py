@@ -140,29 +140,23 @@ class TestMeasuredBitrate:
             mt.measured_bitrate([make_seq([0], 4)], [0.0])
 
 
+def euclidean(x, y):
+    return np.linalg.norm(x[:, None, :] - y[None, :, :], axis=-1)
+
+
 class TestDtwAlign:
     def test_identical_inputs_diagonal_zero(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(5, 3))
-        path = mt.dtw_align(x, x)
-        assert path.cost == 0.0
-        np.testing.assert_array_equal(path.pairs,
-                                      np.stack([np.arange(5), np.arange(5)], axis=1))
-
-    def test_accepts_feature_matrices(self):
-        rng = np.random.default_rng(1)
-        x = FeatureMatrix(rng.normal(size=(4, 2)), FRAME_RATE,
-                          FeatureKind.MEL_CEPSTRUM)
-        path = mt.dtw_align(x, x)
-        assert path.cost == 0.0
+        pairs, cost = mt._dtw_from_cost(euclidean(x, x))
+        assert cost == 0.0
+        np.testing.assert_array_equal(pairs, np.stack([np.arange(5), np.arange(5)], axis=1))
 
     def test_4x3_matches_enumeration(self):
         rng = np.random.default_rng(42)
-        x = rng.normal(size=(4, 2))
-        y = rng.normal(size=(3, 2))
-        local = mt.euclidean_distance(x, y)
-        path = mt.dtw_align(x, y)
-        assert path.cost == pytest.approx(enumerated_min_cost(local), abs=1e-12)
+        local = euclidean(rng.normal(size=(4, 2)), rng.normal(size=(3, 2)))
+        _, cost = mt._dtw_from_cost(local)
+        assert cost == pytest.approx(enumerated_min_cost(local), abs=1e-12)
 
     def test_matches_enumeration_all_small_shapes(self):
         """200 random instances covering every shape up to 6x6."""
@@ -170,12 +164,9 @@ class TestDtwAlign:
         shapes = [(m, n) for m in range(1, 7) for n in range(1, 7)]
         for case in range(200):
             m, n = shapes[case % len(shapes)]
-            x = rng.normal(size=(m, 2))
-            y = rng.normal(size=(n, 2))
-            local = mt.euclidean_distance(x, y)
-            path = mt.dtw_align(x, y)
-            assert path.cost == pytest.approx(enumerated_min_cost(local),
-                                              abs=1e-12), (m, n, case)
+            local = euclidean(rng.normal(size=(m, 2)), rng.normal(size=(n, 2)))
+            _, cost = mt._dtw_from_cost(local)
+            assert cost == pytest.approx(enumerated_min_cost(local), abs=1e-12), (m, n, case)
 
     def test_repeated_final_frame_is_free(self):
         """Duplicating y's final frame adds a (0,1) step whose cost is the
@@ -184,33 +175,27 @@ class TestDtwAlign:
         x = rng.normal(size=(5, 2))
         y = np.vstack([rng.normal(size=(3, 2)), x[-1]])
         y_ext = np.vstack([y, y[-1]])
-        assert mt.dtw_align(x, y_ext).cost == pytest.approx(
-            mt.dtw_align(x, y).cost, abs=1e-12)
+        assert mt._dtw_from_cost(euclidean(x, y_ext))[1] == pytest.approx(
+            mt._dtw_from_cost(euclidean(x, y))[1], abs=1e-12)
 
     @given(seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_path_is_valid_and_cost_consistent(self, seed):
         rng = np.random.default_rng(seed)
         m, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-        x = rng.normal(size=(m, 2))
-        y = rng.normal(size=(n, 2))
-        local = mt.euclidean_distance(x, y)
-        path = mt.dtw_align(x, y)
-        pairs = path.pairs
+        local = euclidean(rng.normal(size=(m, 2)), rng.normal(size=(n, 2)))
+        pairs, cost = mt._dtw_from_cost(local)
         assert tuple(pairs[0]) == (0, 0)
         assert tuple(pairs[-1]) == (m - 1, n - 1)
         steps = set(map(tuple, np.diff(pairs, axis=0)))
         assert steps <= {(1, 0), (0, 1), (1, 1)}
-        assert path.cost == pytest.approx(
-            float(local[pairs[:, 0], pairs[:, 1]].sum()), abs=1e-12)
+        assert cost == pytest.approx(float(local[pairs[:, 0], pairs[:, 1]].sum()), abs=1e-12)
 
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
-            mt.dtw_align(np.zeros((0, 2)), np.zeros((3, 2)))
-
-    def test_rejects_dim_mismatch(self):
+            mt._dtw_from_cost(np.zeros((0, 3)))
         with pytest.raises(ValidationError):
-            mt.dtw_align(np.zeros((2, 2)), np.zeros((2, 3)))
+            mt._dtw_from_cost(np.zeros((3, 0)))
 
 
 class TestMcd:
@@ -244,6 +229,15 @@ class TestMcd:
         y = rng.normal(size=(int(rng.integers(1, 7)), 5))
         assert mt.mcd(x, y) >= 0.0
         assert mt.mcd(x, y) == pytest.approx(mt.mcd(y, x), rel=1e-12)
+
+    def test_accepts_feature_matrices(self):
+        x = FeatureMatrix(np.random.default_rng(1).normal(size=(4, 3)), FRAME_RATE,
+                          FeatureKind.MEL_CEPSTRUM)
+        assert mt.mcd(x, x) == 0.0
+
+    def test_rejects_dim_mismatch(self):
+        with pytest.raises(ValidationError, match="dimension mismatch"):
+            mt.mcd(np.zeros((2, 3)), np.zeros((2, 4)))
 
     def test_rejects_empty_and_narrow(self):
         with pytest.raises(ValidationError):
@@ -294,6 +288,11 @@ class TestLogF0Rmse:
         b = F0Track(np.full(4, 100.0), Fraction(100, 3))
         with pytest.raises(ValidationError):
             mt.log_f0_rmse(a, b)
+
+    def test_rejects_empty_track(self):
+        track = F0Track(np.full(3, 100.0), FRAME_RATE)
+        with pytest.raises(ValidationError, match="non-empty"):
+            mt.log_f0_rmse(F0Track(np.zeros(0), FRAME_RATE), track)
 
 
 class TestReporting:

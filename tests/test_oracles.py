@@ -1,0 +1,154 @@
+"""Independent oracles for the hot paths: a plain DP for the DTW, brute-force
+nearest codes for encoding, a dict-counted n-gram table, and the top-k ∩
+nucleus candidate set for every drawn token. Faster rewrites of these paths
+must keep these properties."""
+
+from collections import Counter, defaultdict
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from duss import metrics, sampler, toylm
+from duss.codec import Codebook, CodecConfig, RvqCodec, TokenSequence, encode
+from duss.dsp import FeatureKind, FeatureMatrix
+
+from conftest import FRAME_RATE
+
+# Slack at the nucleus edge: the oracle's candidate set may be larger than the
+# sampler's by tokens this close to the threshold, never smaller.
+NUCLEUS_SLACK = 1e-9
+
+
+def plain_dtw(local):
+    """O(Tx*Ty) DP and traceback; ties go to the diagonal, then x, then y."""
+    tx, ty = local.shape
+    cum = [[0.0] * ty for _ in range(tx)]
+    for i in range(tx):
+        for j in range(ty):
+            before = [cum[a][b] for a, b in ((i - 1, j - 1), (i - 1, j), (i, j - 1))
+                      if a >= 0 and b >= 0]
+            cum[i][j] = float(local[i, j]) + (min(before) if before else 0.0)
+    i, j = tx - 1, ty - 1
+    path = [(i, j)]
+    while (i, j) != (0, 0):
+        steps = [(cum[a][b], rank, (a, b))
+                 for rank, (a, b) in enumerate(((i - 1, j - 1), (i - 1, j), (i, j - 1)))
+                 if a >= 0 and b >= 0]
+        i, j = min(steps)[2]
+        path.append((i, j))
+    return path[::-1], cum[-1][-1]
+
+
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 7), st.integers(1, 7)),
+                  elements=st.integers(0, 3).map(float)))
+@settings(max_examples=200, deadline=None)
+def test_dtw_matches_plain_dp(local):
+    """Integer costs keep every sum exact, so ties are real and must break alike."""
+    pairs, cost = metrics._dtw_from_cost(local)
+    want_path, want_cost = plain_dtw(local)
+    assert [tuple(p) for p in pairs.tolist()] == want_path
+    assert cost == want_cost
+
+
+@st.composite
+def codec_and_frames(draw):
+    v, q, d = draw(st.integers(2, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    small_ints = st.integers(-3, 3).map(float)
+    stages = [Codebook(vectors=draw(hnp.arrays(np.float64, (v, d), elements=small_ints)),
+                       usage_counts=np.zeros(v, dtype=np.int64)) for _ in range(q)]
+    cfg = CodecConfig(codebook_size=v, num_quantizers=q, feature_dim=d)
+    frames = draw(hnp.arrays(np.float64, (draw(st.integers(0, 10)), d), elements=small_ints))
+    return RvqCodec(config=cfg, stages=stages), frames
+
+
+@given(codec_and_frames())
+@settings(max_examples=200, deadline=None)
+def test_encode_picks_brute_force_nearest_code(case):
+    """Each stage's token is the nearest code to the running residual by explicit
+    squared distance, lowest index on ties (exact on integer-valued data)."""
+    codec, frames = case
+    seq = encode(codec, FeatureMatrix(frames, FRAME_RATE, FeatureKind.MEL_SPECTROGRAM))
+    for t, frame in enumerate(frames):
+        residual = frame.copy()
+        for s, stage in enumerate(codec.stages):
+            dists = [float(np.sum((residual - code) ** 2)) for code in stage.vectors]
+            nearest = dists.index(min(dists))
+            assert seq.tokens[s, t] == nearest, (s, t, dists)
+            residual = residual - stage.vectors[nearest]
+
+
+def count_table(corpora, order, stop):
+    """Next-token counts after every context of length < order, each stream
+    ending in the stop id."""
+    table = defaultdict(Counter)
+    for seq in corpora:
+        for stream in seq.tokens.tolist():
+            utt = stream + [stop]
+            for i, tok in enumerate(utt):
+                for length in range(min(order - 1, i) + 1):
+                    table[tuple(utt[i - length:i])][tok] += 1
+    return table
+
+
+@st.composite
+def lm_corpora(draw):
+    v, order = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    corpora = []
+    for _ in range(draw(st.integers(1, 3))):
+        q, t = draw(st.integers(1, 2)), draw(st.integers(0, 12))
+        tokens = draw(hnp.arrays(np.int64, (q, t), elements=st.integers(0, v - 1)))
+        corpora.append(TokenSequence(tokens=tokens, vocab_size=v, frame_rate=FRAME_RATE))
+    return v, order, corpora
+
+
+@given(lm_corpora())
+@settings(max_examples=200, deadline=None)
+def test_ngram_counts_match_dict_table(case):
+    v, order, corpora = case
+    model = toylm.train_ngram(corpora, n=order, alpha=0.1)
+    table = count_table(corpora, order, stop=v)
+    assert set(model.counts) == set(table)
+    for ctx, counter in table.items():
+        want = [counter[tok] for tok in range(v + 1)]
+        assert model.counts[ctx].tolist() == want, ctx
+
+
+def candidates(table, order, alpha, vocab, context, params):
+    """Top-k ∩ nucleus of the tempered, smoothed back-off distribution after
+    `context`: ranked by probability then id, kept while fewer than k are
+    kept and the mass before the token is below p."""
+    counts = [0] * vocab
+    for length in range(min(order - 1, len(context)), -1, -1):
+        key = tuple(context[len(context) - length:])
+        if key in table:
+            for tok, c in table[key].items():
+                counts[tok] = c
+            break
+    total = sum(c + alpha for c in counts)
+    scaled = [np.log((c + alpha) / total) / params.temperature for c in counts]
+    top = max(scaled)
+    weights = [np.exp(x - top) for x in scaled]
+    q = [w / sum(weights) for w in weights]
+    keep, mass = set(), 0.0
+    for tok in sorted(range(vocab), key=lambda t: (-q[t], t))[:params.k]:
+        if mass >= params.p + NUCLEUS_SLACK:
+            break
+        keep.add(tok)
+        mass += q[tok]
+    return keep
+
+
+@given(lm_corpora(), st.integers(1, 7), st.floats(0.05, 1.0), st.floats(0.1, 2.0),
+       st.integers(1, 20), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_generated_tokens_lie_in_candidate_set(case, k, p, temperature, max_len, seed):
+    v, order, corpora = case
+    model = toylm.train_ngram(corpora, n=order, alpha=0.1)
+    params = sampler.SamplingParams(k=k, p=p, temperature=temperature)
+    result = sampler.generate(model, params, max_len, np.random.default_rng(seed))
+    table = count_table(corpora, order, stop=v)
+    stream = result.sequence.tokens[0].tolist() + ([v] if result.natural else [])
+    for t, drawn in enumerate(stream):
+        assert drawn in candidates(table, order, model.alpha, v + 1, stream[:t], params), t

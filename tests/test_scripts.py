@@ -77,6 +77,17 @@ def test_too_large_codebook_is_one_validation_error(demo_22k, capsys, script, ar
     assert "insufficient training frames" in event["message"]
 
 
+def test_acoustic_track_rejects_count_below_one(demo_22k, capsys):
+    assert acoustic.main([demo_22k, "--codebook-size", "16", "--count", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    event = json.loads(lines[0])
+    assert event["event"] == "error" and event["kind"] == "validation"
+    assert "--count: must be >= 1, got 0" in event["message"]
+
+
 def test_vocoder_track_without_train_split_names_the_cause(demo_22k, capsys):
     rows = [json.loads(line) for line in open(demo_22k)]
     held_out = os.path.join(os.path.dirname(demo_22k), "held_out.jsonl")

@@ -33,13 +33,15 @@ class TestTrainNgram:
         np.testing.assert_array_equal(row, expected)
 
     def test_empty_corpus_is_uniform(self):
-        model = toylm.train_ngram([], n=2, alpha=0.5, vocab_size=5)
+        """A model with no counts (nothing trained) gives uniform logits."""
+        model = toylm.NgramModel(order=2, vocab_size=5, alpha=0.5)
         for ctx in ([], [0], [4, 2]):
             np.testing.assert_allclose(toylm.logits(model, ctx),
                                        np.full(5, -np.log(5)), atol=1e-15)
 
     def test_empty_corpus_needs_vocab(self):
-        with pytest.raises(ValidationError):
+        """The vocabulary comes from the first sequence, so there must be one."""
+        with pytest.raises(ValidationError, match="at least one token sequence"):
             toylm.train_ngram([], n=2, alpha=0.5)
 
     def test_alternating_pair_becomes_deterministic(self):

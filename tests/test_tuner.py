@@ -79,14 +79,14 @@ class TestSearchSpace:
 
 class TestTune:
     def test_constant_scorer_best_is_first(self):
-        hist = tn.tune(tn.SearchSpace(), ConstantScorer(), stop_model, [0],
+        hist = tn.tune(tn.SearchSpace(), ConstantScorer(), stop_model, 1,
                        n_trials=10, seed=0)
         assert all(t.score == 1.0 for t in hist.trials)
         assert hist.best == 0
 
     def test_bit_identical_histories(self):
         kwargs = dict(space=NARROW_SPACE, scorer=SyntheticScorer(),
-                      model=stop_model, dev_contexts=[0, 1], n_trials=30, seed=7)
+                      model=stop_model, dev_count=2, n_trials=30, seed=7)
         a = tn.tune(**kwargs)
         b = tn.tune(**kwargs)
         assert a.best == b.best
@@ -105,16 +105,20 @@ class TestTune:
     def test_recovers_temperature_optimum(self):
         """500 random trials on the temperature-dominated space land the best
         trial's tau within 0.05 of the analytic optimum."""
-        hist = tn.tune(NARROW_SPACE, SyntheticScorer(), stop_model, [0],
+        hist = tn.tune(NARROW_SPACE, SyntheticScorer(), stop_model, 1,
                        n_trials=500, seed=0)
         assert abs(hist.best_trial.params.temperature - 0.4) <= 0.05
 
     def test_nonfinite_score_flagged(self):
         class Poison:
-            def score(self, generated, ctx):
-                return math.nan if ctx.trial_index == 1 else 0.5
+            """NaN on the second of one generation per trial, i.e. trial 1."""
+            calls = 0
 
-        hist = tn.tune(tn.SearchSpace(), Poison(), stop_model, [0],
+            def score(self, generated, ctx):
+                self.calls += 1
+                return math.nan if self.calls == 2 else 0.5
+
+        hist = tn.tune(tn.SearchSpace(), Poison(), stop_model, 1,
                        n_trials=3, seed=1)
         assert hist.trials[1].flagged
         assert hist.trials[1].score == -math.inf
@@ -122,20 +126,24 @@ class TestTune:
         assert hist.best != 1
 
     def test_score_is_mean_over_contexts(self):
-        class PerContext:
-            def score(self, generated, ctx):
-                return float(ctx.dev_context)
+        class PerGeneration:
+            """1, 2, 6 on a trial's three generations, in order."""
+            calls = 0
 
-        hist = tn.tune(tn.SearchSpace(), PerContext(), stop_model, [1.0, 2.0, 6.0],
+            def score(self, generated, ctx):
+                self.calls += 1
+                return (1.0, 2.0, 6.0)[(self.calls - 1) % 3]
+
+        hist = tn.tune(tn.SearchSpace(), PerGeneration(), stop_model, 3,
                        n_trials=2, seed=0)
         assert hist.trials[0].score == pytest.approx(3.0)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValidationError):
-            tn.tune(tn.SearchSpace(), ConstantScorer(), stop_model, [0],
+            tn.tune(tn.SearchSpace(), ConstantScorer(), stop_model, 1,
                     n_trials=0, seed=0)
         with pytest.raises(ValidationError):
-            tn.tune(tn.SearchSpace(), ConstantScorer(), stop_model, [],
+            tn.tune(tn.SearchSpace(), ConstantScorer(), stop_model, 0,
                     n_trials=1, seed=0)
 
 
@@ -163,7 +171,7 @@ class TestCentroidScorer:
 
     def _ctx(self, natural):
         return tn.ScoreContext(params=SamplingParams(k=1, p=1.0, temperature=1.0),
-                               dev_context=0, natural=natural, trial_index=0)
+                               natural=natural)
 
     def test_empty_sequence_penalized(self):
         scorer = tn.CentroidScorer(self._codec())
@@ -197,7 +205,7 @@ class TestCentroidScorer:
 
 class TestParamImportance:
     def test_temperature_only_scorer(self):
-        hist = tn.tune(tn.SearchSpace(), TauOnlyScorer(), stop_model, [0],
+        hist = tn.tune(tn.SearchSpace(), TauOnlyScorer(), stop_model, 1,
                        n_trials=200, seed=5)
         imp = tn.param_importance(hist)
         assert imp["temperature"] > 0.8
@@ -214,13 +222,13 @@ class TestParamImportance:
                         + 1e-6 * self.rng.normal())
 
         for seed in (0, 1, 2):
-            hist = tn.tune(tn.SearchSpace(), TauNoise(seed), stop_model, [0],
+            hist = tn.tune(tn.SearchSpace(), TauNoise(seed), stop_model, 1,
                            n_trials=200, seed=seed)
             imp = tn.param_importance(hist)
             assert max(imp, key=imp.get) == "temperature"
 
     def test_constant_scorer_all_zero(self):
-        hist = tn.tune(tn.SearchSpace(), ConstantScorer(), stop_model, [0],
+        hist = tn.tune(tn.SearchSpace(), ConstantScorer(), stop_model, 1,
                        n_trials=25, seed=0)
         imp = tn.param_importance(hist)
         assert imp == {"k": 0.0, "p": 0.0, "temperature": 0.0}
@@ -228,23 +236,27 @@ class TestParamImportance:
     def test_synthetic_objective_ranking(self):
         """On the narrow space the analytic sensitivity order is
         temperature > k > p, and the decomposition reproduces it."""
-        hist = tn.tune(NARROW_SPACE, SyntheticScorer(), stop_model, [0],
+        hist = tn.tune(NARROW_SPACE, SyntheticScorer(), stop_model, 1,
                        n_trials=500, seed=0)
         imp = tn.param_importance(hist)
         assert imp["temperature"] > imp["k"] > imp["p"]
 
     def test_too_few_trials_rejected(self):
-        hist = tn.tune(tn.SearchSpace(), ConstantScorer(), stop_model, [0],
+        hist = tn.tune(tn.SearchSpace(), ConstantScorer(), stop_model, 1,
                        n_trials=5, seed=0)
         with pytest.raises(ValidationError, match="20"):
             tn.param_importance(hist, bins=10)
 
     def test_flagged_trials_excluded(self):
         class Poison:
-            def score(self, generated, ctx):
-                return math.inf if ctx.trial_index < 3 else 0.5
+            """inf on the first three trials, one generation each."""
+            calls = 0
 
-        hist = tn.tune(tn.SearchSpace(), Poison(), stop_model, [0],
+            def score(self, generated, ctx):
+                self.calls += 1
+                return math.inf if self.calls <= 3 else 0.5
+
+        hist = tn.tune(tn.SearchSpace(), Poison(), stop_model, 1,
                        n_trials=25, seed=0)
         imp = tn.param_importance(hist, bins=10)
         assert imp == {"k": 0.0, "p": 0.0, "temperature": 0.0}
@@ -252,7 +264,7 @@ class TestParamImportance:
 
 class TestHistoryIO:
     def test_round_trip(self, tmp_path):
-        hist = tn.tune(NARROW_SPACE, SyntheticScorer(), stop_model, [0, 1],
+        hist = tn.tune(NARROW_SPACE, SyntheticScorer(), stop_model, 2,
                        n_trials=12, seed=3)
         path = tmp_path / "history.jsonl"
         tn.save_history_jsonl(hist, path)
@@ -266,7 +278,7 @@ class TestHistoryIO:
             def score(self, generated, ctx):
                 return math.nan
 
-        hist = tn.tune(tn.SearchSpace(), Poison(), stop_model, [0],
+        hist = tn.tune(tn.SearchSpace(), Poison(), stop_model, 1,
                        n_trials=2, seed=0)
         path = tmp_path / "history.jsonl"
         tn.save_history_jsonl(hist, path)
@@ -292,7 +304,7 @@ class TestHistoryIO:
             tn.load_history_jsonl(path)
 
     def test_blank_lines_skipped(self, tmp_path):
-        hist = tn.tune(tn.SearchSpace(), ConstantScorer(), stop_model, [0],
+        hist = tn.tune(tn.SearchSpace(), ConstantScorer(), stop_model, 1,
                        n_trials=2, seed=0)
         path = tmp_path / "history.jsonl"
         tn.save_history_jsonl(hist, path)
