@@ -557,9 +557,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-max", type=float, default=space.p_range[1])
     p.add_argument("--temp-min", type=float, default=space.temp_range[0])
     p.add_argument("--temp-max", type=float, default=space.temp_range[1])
-    p.add_argument("--dev-count", type=int, default=tuner.DEFAULT_DEV_COUNT,
+    p.add_argument("--dev-count", type=positive_int, default=tuner.DEFAULT_DEV_COUNT,
                    help="generations scored per trial")
-    p.add_argument("--importance-bins", type=int, default=tuner.DEFAULT_IMPORTANCE_BINS)
+    p.add_argument("--importance-bins", type=positive_int, default=tuner.DEFAULT_IMPORTANCE_BINS)
     _add_common(p)
     _add_overrides(p, ["n_trials", "max_len"])
     p.set_defaults(func=cmd_tune)

@@ -212,8 +212,8 @@ def load_tokens(path) -> TokenSequence:
 
 
 def save_ngram(path, model: NgramModel) -> None:
-    """Contexts are written sorted by (length, tokens) with sparse non-zero
-    count entries, so equal models serialize byte-identically."""
+    """Contexts are written sorted by (length, tokens), each with its (ids,
+    counts) row, so equal models serialize byte-identically."""
     _write(path, MAGIC_DUSS, (KIND_NGRAM, model.order, model.vocab_size), 0,
            _ngram_payload(model))
 
@@ -221,31 +221,40 @@ def save_ngram(path, model: NgramModel) -> None:
 def _ngram_payload(model: NgramModel):
     yield struct.pack("<dQ", model.alpha, len(model.counts))
     for ctx in sorted(model.counts, key=lambda c: (len(c), c)):
-        row = model.counts[ctx]
-        nz = np.nonzero(row)[0]
+        ids, counts = model.counts[ctx]
         yield struct.pack("<I", len(ctx)) + np.asarray(ctx, dtype="<u4").tobytes()
-        yield struct.pack("<I", len(nz)) + np.ascontiguousarray(nz, dtype="<u4").tobytes()
-        yield np.ascontiguousarray(row[nz], dtype="<u8").tobytes()
+        yield struct.pack("<I", len(ids)) + np.ascontiguousarray(ids, dtype="<u4").tobytes()
+        yield np.ascontiguousarray(counts, dtype="<u8").tobytes()
 
 
 def load_ngram(path) -> NgramModel:
+    """Keep each row as stored. Only save_ngram's canonical payload loads (its
+    context order, ids strictly increasing and below vocab_size, counts > 0),
+    so a load allocates no more than the file holds and re-saving matches it."""
     reader, (_, order, vocab_size), _ = _open(path, MAGIC_DUSS, kinds=(KIND_NGRAM,))
+    if vocab_size > 2 ** 32:
+        raise DataError(f"{path}: vocab_size {vocab_size} exceeds the u32 token ids")
     alpha, n_contexts = reader.take_struct(struct.Struct("<dQ"))
     with _invalid_payload(path, "model header"):
         model = NgramModel(order=int(order), vocab_size=int(vocab_size), alpha=alpha)
+    previous = None
     for _ in range(n_contexts):
         (ctx_len,) = reader.take_struct(struct.Struct("<I"))
-        ctx = tuple(int(x) for x in reader.take_array("<u4", ctx_len))
+        ctx = tuple(reader.take_array("<u4", ctx_len).tolist())
         if ctx_len >= model.order:
             raise DataError(f"{path}: context {ctx} too long for order {model.order}")
+        if previous is not None and (ctx_len, ctx) <= previous:
+            raise DataError(f"{path}: context {ctx} out of order")
+        previous = (ctx_len, ctx)
         (n_entries,) = reader.take_struct(struct.Struct("<I"))
-        idx = reader.take_array("<u4", n_entries)
-        counts = reader.take_array("<u8", n_entries)
-        if len(idx) and idx.max() >= model.vocab_size:
-            raise DataError(f"{path}: count index {int(idx.max())} outside "
+        ids = reader.take_array("<u4", n_entries).astype(np.int64)
+        counts = reader.take_array("<u8", n_entries).astype(np.int64)
+        if n_entries and ((ids[1:] <= ids[:-1]).any() or counts.min() <= 0):
+            raise DataError(f"{path}: context {ctx} needs strictly increasing ids "
+                            "and positive counts")
+        if n_entries and ids[-1] >= model.vocab_size:
+            raise DataError(f"{path}: count index {int(ids[-1])} outside "
                             f"vocabulary {model.vocab_size}")
-        row = np.zeros(model.vocab_size, dtype=np.int64)
-        row[idx.astype(np.int64)] = counts.astype(np.int64)
-        model.counts[ctx] = row
+        model.counts[ctx] = (ids, counts)
     reader.done()
     return model

@@ -6,8 +6,9 @@ token streams, with a stop id appended to every training utterance.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -24,13 +25,15 @@ DEFAULT_ALPHA = 0.1
 class NgramModel:
     """Counts over contexts of length < order, smoothed with alpha.
 
-    vocab_size includes the stop id (vocab_size - 1).
+    vocab_size includes the stop id (vocab_size - 1). Each context maps to
+    the (ids, counts) of the tokens seen after it: int64 arrays, ids strictly
+    increasing and counts positive, as the `.duss` n-gram payload stores them.
     """
 
     order: int
     vocab_size: int
     alpha: float
-    counts: Dict[Context, np.ndarray] = field(default_factory=dict)
+    counts: Dict[Context, Tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.order < 1:
@@ -60,28 +63,22 @@ def train_ngram(corpora: Sequence[TokenSequence], n: int = DEFAULT_ORDER,
         raise ValidationError("train_ngram needs at least one token sequence")
     vocab_size = corpora[0].vocab_size + 1
     model = NgramModel(order=n, vocab_size=vocab_size, alpha=alpha)
+    tables: Dict[Context, Counter] = defaultdict(Counter)
     for seq in corpora:
         if seq.vocab_size + 1 != vocab_size:
             raise ValidationError(
                 f"vocabulary mismatch: sequence has V={seq.vocab_size}, "
                 f"model expects V={vocab_size - 1}")
         for stream in seq.tokens:
-            utterance = list(int(t) for t in stream) + [model.stop_id]
-            _count_stream(model, utterance)
+            utterance = stream.tolist() + [model.stop_id]
+            for i, token in enumerate(utterance):
+                for length in range(min(n - 1, i) + 1):
+                    tables[tuple(utterance[i - length:i])][token] += 1
+    for ctx, table in tables.items():
+        ids = sorted(table)
+        model.counts[ctx] = (np.array(ids, dtype=np.int64),
+                             np.array([table[t] for t in ids], dtype=np.int64))
     return model
-
-
-def _count_stream(model: NgramModel, utterance: List[int]) -> None:
-    counts = model.counts
-    vocab = model.vocab_size
-    for i, token in enumerate(utterance):
-        for length in range(min(model.order - 1, i) + 1):
-            ctx = tuple(utterance[i - length:i])
-            row = counts.get(ctx)
-            if row is None:
-                row = np.zeros(vocab, dtype=np.int64)
-                counts[ctx] = row
-            row[token] += 1
 
 
 def logits(model: NgramModel, context: Sequence[int]) -> np.ndarray:
@@ -89,16 +86,19 @@ def logits(model: NgramModel, context: Sequence[int]) -> np.ndarray:
 
     Backs off to shorter suffixes down to the empty context; a context never
     seen at any order yields uniform logits. exp(logits) always sums to 1.
+    Only the last order - 1 tokens can match a stored context, so only they
+    are read and range-checked; older tokens never affect the result.
     """
-    context = [int(t) for t in context]
-    for token in context:
+    limit = min(model.order - 1, len(context))
+    suffix = [int(t) for t in context[len(context) - limit:]]
+    for token in suffix:
         if not (0 <= token < model.vocab_size):
             raise ValidationError(f"context token {token} outside vocabulary")
-    limit = min(model.order - 1, len(context))
     for length in range(limit, -1, -1):
-        key = tuple(context[len(context) - length:])
-        row = model.counts.get(key)
+        row = model.counts.get(tuple(suffix[limit - length:]))
         if row is not None:
-            smoothed = row + model.alpha
+            ids, counts = row
+            smoothed = np.full(model.vocab_size, model.alpha)
+            smoothed[ids] += counts
             return np.log(smoothed / smoothed.sum())
     return np.full(model.vocab_size, -np.log(model.vocab_size))

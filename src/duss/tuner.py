@@ -212,6 +212,11 @@ def save_history_jsonl(history: TuningHistory, path) -> None:
             fh.write(json.dumps(row) + "\n")
 
 
+# JSON type per history field; bool is an int subclass, so it passes only as bool.
+_ROW_TYPES = {"index": int, "k": int, "p": (int, float), "temperature": (int, float),
+              "score": (int, float), "seed": int, "flagged": bool}
+
+
 def load_history_jsonl(path) -> TuningHistory:
     trials = []
     for line_no, line in enumerate(read_lines(path, "tuning history"), start=1):
@@ -219,12 +224,16 @@ def load_history_jsonl(path) -> TuningHistory:
         if not line:
             continue
         try:
-            row = json.loads(line)
+            row = {"flagged": False, **json.loads(line)}
+            for name, kind in _ROW_TYPES.items():
+                if not isinstance(row[name], kind) or isinstance(row[name], bool) != (kind is bool):
+                    raise TypeError(f"{name} has type {type(row[name]).__name__}")
+            if math.isnan(row["score"]):
+                raise ValueError("score is NaN")
             trial = Trial(index=row["index"],
                           params=SamplingParams(k=row["k"], p=row["p"],
                                                 temperature=row["temperature"]),
-                          score=row["score"], seed=row["seed"],
-                          flagged=row.get("flagged", False))
+                          score=row["score"], seed=row["seed"], flagged=row["flagged"])
         except (KeyError, TypeError, ValueError, ValidationError) as exc:
             raise DataError(f"{path}: bad trial record on line {line_no}: {exc}")
         trials.append(trial)

@@ -456,6 +456,20 @@ class TestTune:
         assert rc == 0
         assert "importance: unavailable (needs >= 20" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", ["--importance-bins", "--dev-count"])
+    def test_count_below_one_rejected_before_any_trial(self, workspace, tmp_path,
+                                                       capsys, flag):
+        out = tmp_path / "h.jsonl"
+        rc = cli.main(["tune", workspace["lm"], workspace["codec"],
+                       "--out", str(out), "--n-trials", "5", flag, "0"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert f"{flag}: must be >= 1, got 0" in json.loads(lines[0])["message"]
+        assert not out.exists()
+
     def test_rerun_byte_identical(self, workspace, tmp_path, capsys):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         for out in (a, b):

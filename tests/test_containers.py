@@ -7,12 +7,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duss import containers as ct
 from duss.codec import CodecConfig, RvqCodec, TokenSequence, train_codebooks
 from duss.dsp import FeatureKind, FeatureMatrix
 from duss.errors import DataError, ValidationError
-from duss.toylm import train_ngram
+from duss.toylm import NgramModel, train_ngram
 
 from conftest import FRAME_RATE, make_feature_matrix
 
@@ -257,6 +259,9 @@ class TestNgramFiles:
         assert set(got.counts) == set(model.counts)
         for ctx, row in model.counts.items():
             np.testing.assert_array_equal(got.counts[ctx], row)
+        again = tmp_path / "again.duss"
+        ct.save_ngram(again, got)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_serialization_is_canonical(self, tmp_path):
         """Models trained from the same corpus in different orders hold the
@@ -288,6 +293,76 @@ class TestNgramFiles:
         with pytest.raises(DataError, match="outside"):
             ct.load_ngram(path)
 
+    def test_rejects_vocab_beyond_u32_ids(self, tmp_path):
+        """A header vocabulary no <u4 id can reach is refused before anything
+        is allocated for it."""
+        path = tmp_path / "lm.duss"
+        ct.save_ngram(path, self._model())
+        buf = bytearray(path.read_bytes())
+        struct.pack_into("<Q", buf, 20, 2 ** 40)
+        path.write_bytes(bytes(buf))
+        with pytest.raises(DataError, match="vocab_size"):
+            ct.load_ngram(path)
+
+    @pytest.mark.parametrize("ids, counts", [
+        ([2, 0], [1, 1]),  # ids out of order
+        ([0, 0], [1, 1]),  # repeated id
+        ([0, 2], [1, 0]),  # a count of 0
+    ])
+    def test_rejects_non_canonical_row(self, tmp_path, ids, counts):
+        row = (np.array(ids), np.array(counts))
+        path = tmp_path / "lm.duss"
+        ct.save_ngram(path, NgramModel(order=1, vocab_size=3, alpha=0.1, counts={(): row}))
+        with pytest.raises(DataError, match="strictly increasing ids"):
+            ct.load_ngram(path)
+
+    def test_rejects_contexts_out_of_order(self, tmp_path):
+        row = (np.array([0]), np.array([1]))
+        path = tmp_path / "lm.duss"
+        ct.save_ngram(path, NgramModel(order=2, vocab_size=3, alpha=0.1,
+                                       counts={(0,): row, (1,): row}))
+        buf = path.read_bytes()
+        start = ct._HEADERS[ct.MAGIC_DUSS].size + 16  # after alpha and the context count
+        half = (len(buf) - start) // 2  # the two context records have equal size
+        path.write_bytes(buf[:start] + buf[start + half:] + buf[start:start + half])
+        with pytest.raises(DataError, match=r"context \(0,\) out of order"):
+            ct.load_ngram(path)
+
+
+@pytest.fixture(scope="module")
+def saved_ngram(tmp_path_factory):
+    rng = np.random.default_rng(4)
+    seqs = [TokenSequence(tokens=rng.integers(0, 32, size=(1, 30)), vocab_size=32,
+                          frame_rate=FRAME_RATE) for _ in range(3)]
+    path = tmp_path_factory.mktemp("fuzz") / "lm.duss"
+    ct.save_ngram(path, train_ngram(seqs, n=3, alpha=0.1))
+    return path, path.read_bytes()
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutated_ngram_file_loads_canonically_or_is_data_error(saved_ngram, data):
+    """Byte mutations and truncations of a saved model either fail as
+    DataError or load a model whose arrays hold at most twice the file's
+    bytes (int64 ids for <u4 ones) and whose payload saves back unchanged."""
+    path, original = saved_ngram
+    buf = bytearray(original)
+    edits = st.tuples(st.integers(0, len(buf) - 1), st.integers(0, 255))
+    for pos, byte in data.draw(st.lists(edits, max_size=3), label="edits"):
+        buf[pos] = byte
+    cut = data.draw(st.just(len(buf)) | st.integers(0, len(buf)), label="length")
+    buf = bytes(buf[:cut])
+    path.write_bytes(buf)
+    try:
+        model = ct.load_ngram(path)
+    except DataError:
+        return
+    held = sum(ids.nbytes + counts.nbytes for ids, counts in model.counts.values())
+    assert held <= 2 * len(buf)
+    ct.save_ngram(path, model)
+    header = ct._HEADERS[ct.MAGIC_DUSS].size  # its frame-rate fields mean nothing here
+    assert path.read_bytes()[header:] == buf[header:]
+
 
 class TestAtomicWrite:
     def test_failed_save_keeps_previous_file(self, tmp_path):
@@ -298,7 +373,7 @@ class TestAtomicWrite:
         ct.save_ngram(old, model)
         before = old.read_bytes()
         # sorts after the valid contexts, and is no u32 token id
-        model.counts[(2 ** 40,)] = np.ones(model.vocab_size, dtype=np.int64)
+        model.counts[(2 ** 40,)] = (np.array([0]), np.array([1]))
         for path in (old, new):
             with pytest.raises(OverflowError):
                 ct.save_ngram(path, model)

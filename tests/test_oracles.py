@@ -111,8 +111,9 @@ def test_ngram_counts_match_dict_table(case):
     table = count_table(corpora, order, stop=v)
     assert set(model.counts) == set(table)
     for ctx, counter in table.items():
-        want = [counter[tok] for tok in range(v + 1)]
-        assert model.counts[ctx].tolist() == want, ctx
+        ids, counts = model.counts[ctx]
+        assert ids.tolist() == sorted(counter), ctx
+        assert counts.tolist() == [counter[tok] for tok in sorted(counter)], ctx
 
 
 def candidates(table, order, alpha, vocab, context, params):

@@ -26,11 +26,10 @@ class TestTrainNgram:
         model = toylm.train_ngram([make_seq([3], 6)], n=1, alpha=0.1)
         assert model.vocab_size == 7
         assert model.stop_id == 6
-        row = model.counts[()]
-        expected = np.zeros(7, dtype=np.int64)
-        expected[3] = 1
-        expected[6] = 1
-        np.testing.assert_array_equal(row, expected)
+        ids, counts = model.counts[()]
+        assert ids.dtype == counts.dtype == np.int64
+        assert ids.tolist() == [3, 6]
+        assert counts.tolist() == [1, 1]
 
     def test_empty_corpus_is_uniform(self):
         """A model with no counts (nothing trained) gives uniform logits."""
@@ -54,10 +53,21 @@ class TestTrainNgram:
     def test_each_stage_stream_counts_as_utterance(self):
         seq = make_seq([[1, 2], [3, 4]], 6)
         model = toylm.train_ngram([seq], n=1, alpha=0.1)
-        row = model.counts[()]
+        ids, counts = model.counts[()]
+        row = dict(zip(ids.tolist(), counts.tolist()))
         assert row[6] == 2  # one stop per stream
         for t in (1, 2, 3, 4):
             assert row[t] == 1
+
+    def test_sparse_rows_hold_only_seen_tokens(self):
+        """A large vocabulary costs nothing until its tokens are seen: each
+        stored count takes one int64 id and one int64 count."""
+        rng = np.random.default_rng(2)
+        model = toylm.train_ngram([make_seq(rng.integers(0, 2 ** 16, size=100), 2 ** 16)],
+                                  n=3, alpha=0.1)
+        stored = sum(len(ids) for ids, _ in model.counts.values())
+        nbytes = sum(ids.nbytes + counts.nbytes for ids, counts in model.counts.values())
+        assert nbytes <= 16 * stored
 
     def test_contexts_shorter_than_order(self):
         model = toylm.train_ngram([make_seq([0, 1, 2], 4)], n=3, alpha=0.1)

@@ -296,6 +296,14 @@ class TestHistoryIO:
         '[0, 5, 0.5, 1.0]',
         '{"index": 0, "k": "a", "p": 0.5, "temperature": 1.0, "score": 0.0, "seed": 0}',
         '{"index": 0, "k": 0, "p": 0.5, "temperature": 1.0, "score": 0.0, "seed": 0}',
+        '{"index": 0, "k": 5, "p": 0.5, "temperature": 1.0, "score": "x", "seed": 0}',
+        '{"index": 0, "k": 5, "p": 0.5, "temperature": 1.0, "score": null, "seed": 0}',
+        '{"index": 0, "k": 5, "p": 0.5, "temperature": 1.0, "score": [1], "seed": 0}',
+        '{"index": 0, "k": 5, "p": 0.5, "temperature": 1.0, "score": true, "seed": 0}',
+        '{"index": 0, "k": 5, "p": 0.5, "temperature": 1.0, "score": NaN, "seed": 0}',
+        '{"index": 0, "k": 5.5, "p": 0.5, "temperature": 1.0, "score": 0.0, "seed": 0}',
+        '{"index": 0, "k": 5, "p": 0.5, "temperature": 1.0, "score": 0.0, "seed": 0, '
+        '"flagged": 1}',
     ])
     def test_malformed_row_is_data_error(self, tmp_path, row):
         path = tmp_path / "history.jsonl"
