@@ -5,13 +5,11 @@ black-box sampling-parameter tuning, and objective evaluation."""
 from .codec import (
     Codebook,
     CodecConfig,
-    QuantizationReport,
     RvqCodec,
     TokenSequence,
     decode,
     decode_partial,
     encode,
-    quantization_report,
     train_codebooks,
 )
 from .containers import (
@@ -43,7 +41,6 @@ from .dsp import (
     griffin_lim,
     mel_cepstrum,
     mel_filterbank,
-    mel_spectrogram,
     read_wav,
     resample,
     stft,
@@ -82,15 +79,14 @@ __all__ = [
     "AnalysisConfig", "CentroidScorer", "Codebook", "CodecConfig",
     "CorpusManifest", "DataError", "DussError", "F0Track", "FeatureKind",
     "FeatureMatrix", "GenerationResult", "LogF0Result", "MetricReport",
-    "NgramModel", "QuantizationReport", "RvqCodec", "SamplingParams",
-    "SearchSpace", "TokenSequence", "Trial", "TuningHistory", "UtteranceEntry",
-    "ValidationError", "Waveform", "analyze", "apply_temperature", "decode",
-    "decode_partial", "encode", "estimate_f0", "filter_by_score",
-    "filter_candidates", "filter_styles", "generate", "griffin_lim",
-    "load_codec", "load_features", "load_manifest", "load_ngram", "load_tokens",
-    "log_f0_rmse", "mcd", "measured_bitrate", "mel_cepstrum", "mel_filterbank",
-    "mel_spectrogram", "nominal_bitrate", "param_importance",
-    "quantization_report", "read_wav", "resample", "sample_token", "save_codec",
-    "save_features", "save_manifest", "save_ngram", "save_tokens", "stft",
-    "train_codebooks", "train_ngram", "tune", "write_wav",
+    "NgramModel", "RvqCodec", "SamplingParams", "SearchSpace", "TokenSequence",
+    "Trial", "TuningHistory", "UtteranceEntry", "ValidationError", "Waveform",
+    "analyze", "apply_temperature", "decode", "decode_partial", "encode",
+    "estimate_f0", "filter_by_score", "filter_candidates", "filter_styles",
+    "generate", "griffin_lim", "load_codec", "load_features", "load_manifest",
+    "load_ngram", "load_tokens", "log_f0_rmse", "mcd", "measured_bitrate",
+    "mel_cepstrum", "mel_filterbank", "nominal_bitrate", "param_importance",
+    "read_wav", "resample", "sample_token", "save_codec", "save_features",
+    "save_manifest", "save_ngram", "save_tokens", "stft", "train_codebooks",
+    "train_ngram", "tune", "write_wav",
 ]

@@ -124,7 +124,8 @@ def _fill(cls, values: Dict, **extra):
     return cls(**{k: v for k, v in values.items() if k in names}, **extra)
 
 
-def build_pipeline_config(args, seed: int) -> PipelineConfig:
+def build_pipeline_config(args, seed: int = 0) -> PipelineConfig:
+    """The resolved settings; `seed` reaches only the codec's k-means."""
     v = resolve_settings(args)
     return _fill(PipelineConfig, v,
                  codec=_fill(CodecConfig, v, feature_dim=v["n_mels"], seed=seed),
@@ -226,7 +227,7 @@ def cmd_train_codec(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    cfg = build_pipeline_config(args, resolve_seed(args))
+    cfg = build_pipeline_config(args)
     codec = containers.load_codec(args.codec)
     analysis = _analysis_for_codec(codec, cfg)
     feats = _features_for_entry(args.audio, analysis)
@@ -240,7 +241,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    cfg = build_pipeline_config(args, resolve_seed(args))
+    cfg = build_pipeline_config(args)
     codec = containers.load_codec(args.codec)
     seq = containers.load_tokens(args.tokens)
     analysis = _analysis_for_codec(codec, cfg)
@@ -263,7 +264,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_train_lm(args) -> int:
-    cfg = build_pipeline_config(args, resolve_seed(args))
+    cfg = build_pipeline_config(args)
     corpora = [containers.load_tokens(path) for path in args.tokens]
     model = toylm.train_ngram(corpora, n=cfg.order, alpha=cfg.alpha)
     containers.save_ngram(args.out, model)
@@ -359,7 +360,7 @@ def cmd_tune(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = build_pipeline_config(args, resolve_seed(args))
+    cfg = build_pipeline_config(args)
     ref = _load_manifest_diag(args.reference)
     syn = _load_manifest_diag(args.synthesized)
     ref_base = os.path.dirname(os.path.abspath(args.reference))
@@ -480,12 +481,16 @@ def _add_seed(parser: argparse.ArgumentParser) -> None:
                         help="global seed (falls back to DUSS_SEED, then 0)")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    _add_seed(parser)
+def _add_common(parser: argparse.ArgumentParser, seed: bool = False,
+                preset: bool = False) -> None:
+    """--config, plus --seed and --preset for the commands that read them."""
+    if seed:
+        _add_seed(parser)
     parser.add_argument("--config", default=None,
                         help="key=value settings file")
-    parser.add_argument("--preset", default=None,
-                        help=f"named configuration: {', '.join(sorted(PRESETS))}")
+    if preset:
+        parser.add_argument("--preset", default=None,
+                            help=f"named configuration: {', '.join(sorted(PRESETS))}")
 
 
 def _add_overrides(parser: argparse.ArgumentParser, keys) -> None:
@@ -504,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output codec file")
     p.add_argument("--exclude-styles", default=None,
                    help="comma-separated style tags to drop")
-    _add_common(p)
+    _add_common(p, seed=True, preset=True)
     _add_overrides(p, ["codebook_size", "num_quantizers", "hop", "sample_rate",
                        "frame_len", "n_mels", "window", "kmeans_iters"])
     p.set_defaults(func=cmd_train_codec)
@@ -541,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("codec")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--count", type=positive_int, default=1)
-    _add_common(p)
+    _add_common(p, seed=True, preset=True)
     _add_overrides(p, ["k", "p", "temperature", "max_len", "frame_len", "window",
                        "gl_iterations"])
     p.set_defaults(func=cmd_generate)
@@ -560,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dev-count", type=positive_int, default=tuner.DEFAULT_DEV_COUNT,
                    help="generations scored per trial")
     p.add_argument("--importance-bins", type=positive_int, default=tuner.DEFAULT_IMPORTANCE_BINS)
-    _add_common(p)
+    _add_common(p, seed=True)
     _add_overrides(p, ["n_trials", "max_len"])
     p.set_defaults(func=cmd_tune)
 
@@ -584,7 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", default=None, help="CSV of id,score")
     p.add_argument("--style-scores-out", default=None,
                    help="write kept (style_tag, score) rows as CSV")
-    _add_common(p)
     p.set_defaults(func=cmd_corpus_filter)
 
     return parser

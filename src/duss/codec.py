@@ -1,5 +1,5 @@
-"""Residual vector quantizer: staged k-means codebook learning, encode/decode,
-and per-stage quantization-error reporting."""
+"""Residual vector quantizer: staged k-means codebook learning with its
+per-stage training error, and encode/decode."""
 
 from __future__ import annotations
 
@@ -263,22 +263,3 @@ def decode(codec: RvqCodec, tokens: TokenSequence) -> FeatureMatrix:
         raise ValidationError(
             f"token stages {tokens.num_stages} != codec stages {len(codec.stages)}")
     return decode_partial(codec, tokens)
-
-
-@dataclass(frozen=True)
-class QuantizationReport:
-    """Mean squared quantization residual left after each stage."""
-
-    per_stage_mse: tuple
-
-
-def quantization_report(codec: RvqCodec, features: FeatureMatrix) -> QuantizationReport:
-    """Per-stage mean ||x - q(x)||^2 of the given frames under the codec."""
-    residual = features.data.copy()
-    per_stage = []
-    for cb in codec.stages:
-        assign = nearest_code(cb.vectors, residual)
-        residual -= cb.vectors[assign]
-        per_stage.append(float(np.mean(np.sum(residual * residual, axis=1)))
-                         if residual.size else 0.0)
-    return QuantizationReport(per_stage_mse=tuple(per_stage))

@@ -213,48 +213,68 @@ def load_tokens(path) -> TokenSequence:
 
 def save_ngram(path, model: NgramModel) -> None:
     """Contexts are written sorted by (length, tokens), each with its (ids,
-    counts) row, so equal models serialize byte-identically."""
+    counts) row, so equal models serialize byte-identically. A model that
+    breaks the canonical rule load_ngram reads back raises ValidationError,
+    and `path` keeps its bytes."""
     _write(path, MAGIC_DUSS, (KIND_NGRAM, model.order, model.vocab_size), 0,
            _ngram_payload(model))
 
 
+# The canonical n-gram rule, which save_ngram and load_ngram both hold a model
+# to: vocab_size <= 2**32 (ids are <u4), contexts shorter than the order,
+# context tokens and ids in [0, vocab_size), ids strictly increasing, and one
+# positive count per id.
+
+def _check_ngram_vocab(vocab_size: int) -> None:
+    if vocab_size > 2 ** 32:
+        raise ValidationError(f"vocab_size {vocab_size} exceeds the u32 token ids")
+
+
+def _check_ngram_row(model: NgramModel, ctx: tuple, ids: np.ndarray,
+                     counts: np.ndarray) -> None:
+    v = model.vocab_size
+    if len(ctx) >= model.order:
+        raise ValidationError(f"context {ctx} too long for order {model.order}")
+    if ctx and (min(ctx) < 0 or max(ctx) >= v) or len(ids) and (ids[0] < 0 or ids[-1] >= v):
+        raise ValidationError(f"context {ctx} has a token or id outside vocabulary {v}")
+    if len(ids) != len(counts) or len(ids) and ((ids[1:] <= ids[:-1]).any()
+                                                or counts.min() <= 0):
+        raise ValidationError(f"context {ctx} needs strictly increasing ids "
+                              "and one positive count each")
+
+
 def _ngram_payload(model: NgramModel):
+    _check_ngram_vocab(model.vocab_size)
     yield struct.pack("<dQ", model.alpha, len(model.counts))
     for ctx in sorted(model.counts, key=lambda c: (len(c), c)):
         ids, counts = model.counts[ctx]
+        _check_ngram_row(model, ctx, ids, counts)
         yield struct.pack("<I", len(ctx)) + np.asarray(ctx, dtype="<u4").tobytes()
         yield struct.pack("<I", len(ids)) + np.ascontiguousarray(ids, dtype="<u4").tobytes()
         yield np.ascontiguousarray(counts, dtype="<u8").tobytes()
 
 
 def load_ngram(path) -> NgramModel:
-    """Keep each row as stored. Only save_ngram's canonical payload loads (its
-    context order, ids strictly increasing and below vocab_size, counts > 0),
-    so a load allocates no more than the file holds and re-saving matches it."""
+    """Keep each row as stored. Only a payload that save_ngram writes loads
+    (its context order and the canonical rule above), so a load allocates no
+    more than the file holds and re-saving matches it."""
     reader, (_, order, vocab_size), _ = _open(path, MAGIC_DUSS, kinds=(KIND_NGRAM,))
-    if vocab_size > 2 ** 32:
-        raise DataError(f"{path}: vocab_size {vocab_size} exceeds the u32 token ids")
     alpha, n_contexts = reader.take_struct(struct.Struct("<dQ"))
     with _invalid_payload(path, "model header"):
+        _check_ngram_vocab(vocab_size)
         model = NgramModel(order=int(order), vocab_size=int(vocab_size), alpha=alpha)
     previous = None
-    for _ in range(n_contexts):
-        (ctx_len,) = reader.take_struct(struct.Struct("<I"))
-        ctx = tuple(reader.take_array("<u4", ctx_len).tolist())
-        if ctx_len >= model.order:
-            raise DataError(f"{path}: context {ctx} too long for order {model.order}")
-        if previous is not None and (ctx_len, ctx) <= previous:
-            raise DataError(f"{path}: context {ctx} out of order")
-        previous = (ctx_len, ctx)
-        (n_entries,) = reader.take_struct(struct.Struct("<I"))
-        ids = reader.take_array("<u4", n_entries).astype(np.int64)
-        counts = reader.take_array("<u8", n_entries).astype(np.int64)
-        if n_entries and ((ids[1:] <= ids[:-1]).any() or counts.min() <= 0):
-            raise DataError(f"{path}: context {ctx} needs strictly increasing ids "
-                            "and positive counts")
-        if n_entries and ids[-1] >= model.vocab_size:
-            raise DataError(f"{path}: count index {int(ids[-1])} outside "
-                            f"vocabulary {model.vocab_size}")
-        model.counts[ctx] = (ids, counts)
+    with _invalid_payload(path, "n-gram row"):
+        for _ in range(n_contexts):
+            (ctx_len,) = reader.take_struct(struct.Struct("<I"))
+            ctx = tuple(reader.take_array("<u4", ctx_len).tolist())
+            if previous is not None and (ctx_len, ctx) <= previous:
+                raise DataError(f"{path}: context {ctx} out of order")
+            previous = (ctx_len, ctx)
+            (n_entries,) = reader.take_struct(struct.Struct("<I"))
+            ids = reader.take_array("<u4", n_entries).astype(np.int64)
+            counts = reader.take_array("<u8", n_entries).astype(np.int64)
+            _check_ngram_row(model, ctx, ids, counts)
+            model.counts[ctx] = (ids, counts)
     reader.done()
     return model

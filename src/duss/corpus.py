@@ -10,12 +10,14 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from .errors import DataError, ValidationError, read_lines
+from .errors import DataError, ValidationError, check_json_types, read_lines
 
 SPLITS = ("train", "dev", "test")
 
-# Canonical key order for saved manifest rows; round-trips byte-identically.
-_FIELD_ORDER = ("id", "audio_path", "style_tag", "duration", "transcript", "split")
+# JSON type per manifest field, in the canonical key order of saved rows, so
+# that they round-trip byte-identically.
+_FIELD_TYPES = {"id": str, "audio_path": str, "style_tag": str, "duration": (int, float),
+                "transcript": (str, type(None)), "split": str}
 
 
 @dataclass(frozen=True)
@@ -72,11 +74,9 @@ def load_manifest(path, check_audio: bool = True) -> CorpusManifest:
         if not line:
             continue
         try:
-            row = json.loads(line)
-            entry = UtteranceEntry(
-                id=row["id"], audio_path=row["audio_path"],
-                style_tag=row["style_tag"], duration=row["duration"],
-                transcript=row.get("transcript"), split=row["split"])
+            row = {"transcript": None, **json.loads(line)}
+            check_json_types(row, _FIELD_TYPES)
+            entry = UtteranceEntry(**{name: row[name] for name in _FIELD_TYPES})
         except (KeyError, TypeError, ValueError, ValidationError) as exc:
             raise DataError(f"{path}: bad manifest row on line {line_no}: {exc}")
         entries.append(entry)
@@ -101,7 +101,7 @@ def save_manifest(manifest: CorpusManifest, path) -> None:
     """Write one canonical JSON object per entry, keys in fixed order."""
     with open(path, "w") as fh:
         for entry in manifest.entries:
-            row = {name: getattr(entry, name) for name in _FIELD_ORDER}
+            row = {name: getattr(entry, name) for name in _FIELD_TYPES}
             fh.write(json.dumps(row) + "\n")
 
 

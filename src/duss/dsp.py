@@ -126,21 +126,6 @@ class F0Track:
 
 
 @dataclass(frozen=True)
-class Stft:
-    """Complex T x F short-time spectrum plus the parameters that made it."""
-
-    data: np.ndarray
-    sample_rate: int
-    frame_len: int
-    hop: int
-    window: str
-
-    @property
-    def frame_rate(self) -> Fraction:
-        return Fraction(self.sample_rate, self.hop)
-
-
-@dataclass(frozen=True)
 class AnalysisConfig:
     """Shared analysis settings for the mel frontend and its inversion."""
 
@@ -176,8 +161,6 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     """
     if target_rate <= 0:
         raise ValidationError(f"target_rate must be positive, got {target_rate}")
-    if not np.all(np.isfinite(w.samples)):
-        raise ValidationError("cannot resample non-finite samples")
     if target_rate == w.sample_rate:
         return Waveform(w.samples, w.sample_rate)
     ratio = Fraction(int(target_rate), w.sample_rate)
@@ -185,28 +168,13 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     return Waveform(out, int(target_rate))
 
 
-def _reflect_pad(x: np.ndarray, left: int, right: int) -> np.ndarray:
-    if len(x) == 0:
-        return np.zeros(left + right)
-    return np.pad(x, (left, right), mode="reflect")
-
-
 def _frame_count(num_samples: int, hop: int) -> int:
     return -(-num_samples // hop)  # ceil division
 
 
-def _stft_array(x: np.ndarray, frame_len: int, hop: int, window: str) -> np.ndarray:
-    """Centered STFT with reflect padding; T = ceil(len(x) / hop) frames."""
-    win = _get_window(window, frame_len)
-    num_frames = _frame_count(len(x), hop)
-    if num_frames == 0:
-        return np.zeros((0, frame_len // 2 + 1), dtype=np.complex128)
-    left = frame_len // 2
-    need = (num_frames - 1) * hop + frame_len
-    right = max(0, need - left - len(x))
-    padded = _reflect_pad(x, left, right)
-    frames = np.lib.stride_tricks.sliding_window_view(padded, frame_len)[::hop][:num_frames]
-    return np.fft.rfft(frames * win, axis=1)
+def _frames(x: np.ndarray, frame_len: int, hop: int, num_frames: int) -> np.ndarray:
+    """The first num_frames frames of x, hop samples apart, as a strided view."""
+    return np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop][:num_frames]
 
 
 def _check_hop(frame_len: int, hop: int) -> None:
@@ -215,54 +183,38 @@ def _check_hop(frame_len: int, hop: int) -> None:
 
 
 def stft(w: Waveform, frame_len: int = DEFAULT_FRAME_LEN, hop: int = DEFAULT_HOP,
-         window: str = DEFAULT_WINDOW) -> Stft:
-    """Short-time Fourier transform of a waveform.
+         window: str = DEFAULT_WINDOW) -> np.ndarray:
+    """Complex short-time Fourier transform of a waveform.
 
     Frames are centered with reflect padding, so the output has
     T = ceil(len(samples) / hop) frames of F = frame_len // 2 + 1 bins.
     """
     _check_hop(frame_len, hop)
-    data = _stft_array(w.samples, frame_len, hop, window)
-    return Stft(data=data, sample_rate=w.sample_rate, frame_len=frame_len, hop=hop, window=window)
-
-
-def _istft_array(frames_spec: np.ndarray, frame_len: int, hop: int, window: str) -> np.ndarray:
-    """Least-squares overlap-add inverse of `_stft_array` framing (padded domain)."""
     win = _get_window(window, frame_len)
-    num_frames = frames_spec.shape[0]
+    x = w.samples
+    num_frames = _frame_count(len(x), hop)
     if num_frames == 0:
-        return np.zeros(0)
-    frames = np.fft.irfft(frames_spec, n=frame_len, axis=1)
-    total = (num_frames - 1) * hop + frame_len
+        return np.zeros((0, frame_len // 2 + 1), dtype=np.complex128)
+    left = frame_len // 2
+    right = max(0, (num_frames - 1) * hop + frame_len - left - len(x))
+    padded = np.pad(x, (left, right), mode="reflect")
+    return np.fft.rfft(_frames(padded, frame_len, hop, num_frames) * win, axis=1)
+
+
+def _overlap_add(spec: np.ndarray, frame_len: int, hop: int, win: np.ndarray) -> np.ndarray:
+    """Least-squares overlap-add inverse of `stft`'s framing, in its padded
+    domain, plus one hop of zeros after the last frame so that the centred
+    T * hop samples from frame_len // 2 on always exist."""
+    frames = np.fft.irfft(spec, n=frame_len, axis=1)
+    total = len(spec) * hop + frame_len
     out = np.zeros(total)
     norm = np.zeros(total)
     win_sq = win * win
-    for t in range(num_frames):
+    for t in range(len(spec)):
         start = t * hop
         out[start:start + frame_len] += frames[t] * win
         norm[start:start + frame_len] += win_sq
     return out / np.maximum(norm, 1e-12)
-
-
-def istft(data: np.ndarray, frame_len: int, hop: int, window: str = DEFAULT_WINDOW,
-          length: Optional[int] = None) -> np.ndarray:
-    """Invert an STFT matrix back to samples.
-
-    Undoes the center padding of `stft`; the default output length is
-    T * hop, matching the analysis frame count.
-    """
-    _check_hop(frame_len, hop)
-    num_frames = data.shape[0]
-    if length is None:
-        length = num_frames * hop
-    if num_frames == 0:
-        return np.zeros(length)
-    full = _istft_array(data, frame_len, hop, window)
-    left = frame_len // 2
-    out = full[left:left + length]
-    if len(out) < length:
-        out = np.concatenate([out, np.zeros(length - len(out))])
-    return out
 
 
 def hz_to_mel(f):
@@ -272,17 +224,6 @@ def hz_to_mel(f):
 
 def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
-
-
-def mel_breakpoints(n_mels: int, fmin: float, fmax: float) -> np.ndarray:
-    """The n_mels + 2 mel-spaced edge/center frequencies in Hz."""
-    mel_pts = np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2)
-    return mel_to_hz(mel_pts)
-
-
-def mel_center_frequencies(n_mels: int, fmin: float, fmax: float) -> np.ndarray:
-    """Center frequency of each triangular filter, in Hz."""
-    return mel_breakpoints(n_mels, fmin, fmax)[1:-1]
 
 
 def mel_filterbank(sample_rate: int, n_fft: int, n_mels: int, fmin: float,
@@ -298,37 +239,24 @@ def mel_filterbank(sample_rate: int, n_fft: int, n_mels: int, fmin: float,
         raise ValidationError(f"need 0 <= fmin < fmax, got fmin={fmin}, fmax={fmax}")
     if fmax > sample_rate / 2:
         raise ValidationError(f"fmax {fmax} exceeds Nyquist {sample_rate / 2}")
-    n_freqs = n_fft // 2 + 1
-    freqs = np.linspace(0.0, sample_rate / 2, n_freqs)
-    pts = mel_breakpoints(n_mels, fmin, fmax)
-    fb = np.zeros((n_mels, n_freqs))
-    for m in range(n_mels):
-        lo, center, hi = pts[m], pts[m + 1], pts[m + 2]
-        up = (freqs - lo) / max(center - lo, 1e-12)
-        down = (hi - freqs) / max(hi - center, 1e-12)
-        fb[m] = np.clip(np.minimum(up, down), 0.0, None)
-    return fb
-
-
-def mel_spectrogram(spec: Stft, n_mels: int = DEFAULT_N_MELS, fmin: float = 0.0,
-                    fmax: Optional[float] = None) -> FeatureMatrix:
-    """Log-compressed mel energies of an STFT, log(max(power, LOG_EPS))."""
-    if fmax is None:
-        fmax = spec.sample_rate / 2
-    fb = mel_filterbank(spec.sample_rate, spec.frame_len, n_mels, fmin, fmax)
-    power = np.abs(spec.data) ** 2
-    mel_power = power @ fb.T
-    data = np.log(np.maximum(mel_power, LOG_EPS))
-    return FeatureMatrix(data=data, frame_rate=spec.frame_rate, kind=FeatureKind.MEL_SPECTROGRAM)
+    freqs = np.linspace(0.0, sample_rate / 2, n_fft // 2 + 1)
+    pts = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2))[:, None]
+    lo, center, hi = pts[:-2], pts[1:-1], pts[2:]
+    up = (freqs - lo) / np.maximum(center - lo, 1e-12)
+    down = (hi - freqs) / np.maximum(hi - center, 1e-12)
+    return np.clip(np.minimum(up, down, out=up), 0.0, None, out=up)
 
 
 def analyze(w: Waveform, cfg: AnalysisConfig) -> FeatureMatrix:
-    """Waveform to log-mel features with the given analysis settings."""
+    """Waveform to log-mel features, log(max(mel power, LOG_EPS)), with the
+    given analysis settings."""
     if w.sample_rate != cfg.sample_rate:
         raise ValidationError(
             f"waveform rate {w.sample_rate} != analysis rate {cfg.sample_rate}; resample first")
-    spec = stft(w, cfg.frame_len, cfg.hop, cfg.window)
-    return mel_spectrogram(spec, cfg.n_mels, cfg.fmin, cfg.resolved_fmax())
+    power = np.abs(stft(w, cfg.frame_len, cfg.hop, cfg.window)) ** 2
+    fb = mel_filterbank(cfg.sample_rate, cfg.frame_len, cfg.n_mels, cfg.fmin, cfg.resolved_fmax())
+    data = np.log(np.maximum(power @ fb.T, LOG_EPS))
+    return FeatureMatrix(data=data, frame_rate=cfg.frame_rate, kind=FeatureKind.MEL_SPECTROGRAM)
 
 
 def mel_cepstrum(mel: FeatureMatrix, n_coeffs: int) -> FeatureMatrix:
@@ -370,12 +298,11 @@ def estimate_f0(w: Waveform, f0_floor: float = 60.0, f0_ceil: float = 400.0,
 
     window = tau_max  # integration window; frames span 2 * tau_max samples
     seg_len = 2 * tau_max
-    need = (num_frames - 1) * hop + seg_len
-    padded = _reflect_pad(w.samples, tau_max, max(0, need - tau_max - len(w.samples)))
+    right = max(0, (num_frames - 1) * hop + seg_len - tau_max - len(w.samples))
+    padded = np.pad(w.samples, (tau_max, right), mode="reflect")
 
     taus = np.arange(1, tau_max + 1)
-    for t in range(num_frames):
-        seg = padded[t * hop: t * hop + seg_len]
+    for t, seg in enumerate(_frames(padded, seg_len, hop, num_frames)):
         head = seg[:window]
         energy = np.cumsum(seg * seg)
         e_head = energy[window - 1]
@@ -413,15 +340,6 @@ def _pick_f0(cmndf: np.ndarray, tau_min: int, tau_max: int, threshold: float,
     return f0
 
 
-def mel_to_linear(mel_power: np.ndarray, fb: np.ndarray) -> np.ndarray:
-    """Least-squares inversion of the mel filterbank, clipped at zero.
-
-    mel_power is (T, n_mels); returns (T, F) linear power estimates.
-    """
-    pinv = np.linalg.pinv(fb)
-    return np.clip(mel_power @ pinv.T, 0.0, None)
-
-
 def spectral_convergence(est_mag: np.ndarray, target_mag: np.ndarray) -> float:
     """Relative Frobenius distance between magnitude spectrograms."""
     denom = np.linalg.norm(target_mag)
@@ -449,9 +367,9 @@ def griffin_lim(mel: FeatureMatrix, cfg: AnalysisConfig,
     _check_hop(cfg.frame_len, cfg.hop)
     if mel.kind not in (FeatureKind.MEL_SPECTROGRAM, FeatureKind.DECODED):
         raise ValidationError(f"griffin_lim expects log-mel input, got kind {mel.kind.name}")
-    n_mels = mel.dim
-    fb = mel_filterbank(cfg.sample_rate, cfg.frame_len, n_mels, cfg.fmin, cfg.resolved_fmax())
-    target_mag = np.sqrt(mel_to_linear(np.exp(mel.data), fb))
+    fb = mel_filterbank(cfg.sample_rate, cfg.frame_len, mel.dim, cfg.fmin, cfg.resolved_fmax())
+    # least-squares inversion of the filterbank to linear power, clipped at zero
+    target_mag = np.sqrt(np.clip(np.exp(mel.data) @ np.linalg.pinv(fb).T, 0.0, None))
 
     num_frames = mel.num_frames
     errors = []
@@ -462,14 +380,13 @@ def griffin_lim(mel: FeatureMatrix, cfg: AnalysisConfig,
     win = _get_window(cfg.window, cfg.frame_len)
     spec = target_mag.astype(np.complex128)  # zero initial phase
     for _ in range(iterations):
-        y = _istft_array(spec, cfg.frame_len, cfg.hop, cfg.window)
-        frames = np.lib.stride_tricks.sliding_window_view(y, cfg.frame_len)[::cfg.hop]
-        frames = frames[:num_frames]
-        reanalyzed = np.fft.rfft(frames * win, axis=1)
+        y = _overlap_add(spec, cfg.frame_len, cfg.hop, win)
+        reanalyzed = np.fft.rfft(_frames(y, cfg.frame_len, cfg.hop, num_frames) * win, axis=1)
         errors.append(spectral_convergence(np.abs(reanalyzed), target_mag))
-        phase = np.exp(1j * np.angle(reanalyzed))
-        spec = target_mag * phase
-    wav = Waveform(istft(spec, cfg.frame_len, cfg.hop, cfg.window), cfg.sample_rate)
+        spec = target_mag * np.exp(1j * np.angle(reanalyzed))
+    left = cfg.frame_len // 2  # undo stft's centering
+    samples = _overlap_add(spec, cfg.frame_len, cfg.hop, win)[left:left + num_frames * cfg.hop]
+    wav = Waveform(samples, cfg.sample_rate)
     return (wav, np.array(errors)) if return_errors else wav
 
 

@@ -1,11 +1,11 @@
-"""Exception types shared across the toolkit, and the reader of text inputs.
+"""Exception types shared across the toolkit, and the readers of text inputs.
 
 ValidationError covers bad parameters and violated preconditions (CLI exit
 code 1); DataError covers unreadable, malformed, or inconsistent data files
 (CLI exit code 2).
 """
 
-from typing import List
+from typing import Dict, List
 
 
 class DussError(Exception):
@@ -28,3 +28,12 @@ def read_lines(path, what: str) -> List[str]:
             return list(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from None
+
+
+def check_json_types(row: Dict, types: Dict) -> None:
+    """Raise KeyError for a missing field of a parsed JSON row and TypeError
+    for one not of its type; bool is an int subclass, so it passes only as bool."""
+    for name, kind in types.items():
+        value = row[name]
+        if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+            raise TypeError(f"{name} has type {type(value).__name__}")

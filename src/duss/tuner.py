@@ -11,7 +11,7 @@ from typing import List, Protocol
 import numpy as np
 
 from .codec import RvqCodec, TokenSequence, decode_partial
-from .errors import DataError, ValidationError, read_lines
+from .errors import DataError, ValidationError, check_json_types, read_lines
 from .sampler import DEFAULT_MAX_LEN, SamplingParams, generate
 
 PARAM_NAMES = ("k", "p", "temperature")
@@ -212,7 +212,7 @@ def save_history_jsonl(history: TuningHistory, path) -> None:
             fh.write(json.dumps(row) + "\n")
 
 
-# JSON type per history field; bool is an int subclass, so it passes only as bool.
+# JSON type per history field.
 _ROW_TYPES = {"index": int, "k": int, "p": (int, float), "temperature": (int, float),
               "score": (int, float), "seed": int, "flagged": bool}
 
@@ -225,9 +225,7 @@ def load_history_jsonl(path) -> TuningHistory:
             continue
         try:
             row = {"flagged": False, **json.loads(line)}
-            for name, kind in _ROW_TYPES.items():
-                if not isinstance(row[name], kind) or isinstance(row[name], bool) != (kind is bool):
-                    raise TypeError(f"{name} has type {type(row[name]).__name__}")
+            check_json_types(row, _ROW_TYPES)
             if math.isnan(row["score"]):
                 raise ValueError("score is NaN")
             trial = Trial(index=row["index"],

@@ -77,6 +77,24 @@ class TestParsing:
         assert rc == 1
         assert "acoustic-9000" in last_error(capsys.readouterr().err)["message"]
 
+    @pytest.mark.parametrize("argv", [
+        lambda ws, out: ["encode", ws["codec"], ws["audio0"], "--out", out,
+                         "--preset", "acoustic-256"],
+        lambda ws, out: ["train-lm", ws["tokens"], "--out", out, "--seed", "1"],
+        lambda ws, out: ["tune", ws["lm"], ws["codec"], "--out", out,
+                         "--preset", "acoustic-256"],
+        lambda ws, out: ["corpus-filter", ws["manifest"], "--out", out, "--seed", "1"],
+        lambda ws, out: ["corpus-filter", ws["manifest"], "--out", out,
+                         "--config", out + ".cfg"],
+    ], ids=["encode-preset", "train-lm-seed", "tune-preset", "corpus-filter-seed",
+            "corpus-filter-config"])
+    def test_flag_the_command_does_not_read_is_rejected(self, workspace, tmp_path, capsys,
+                                                        argv):
+        out = str(tmp_path / "out")
+        assert cli.main(argv(workspace, out)) == 1
+        assert "unrecognized arguments" in last_error(capsys.readouterr().err)["message"]
+        assert not os.path.exists(out)
+
     def test_missing_input_file_is_data_error(self, tmp_path, capsys):
         rc = cli.main(["train-codec", str(tmp_path / "nope.jsonl"),
                        "--out", str(tmp_path / "c.duss")])
@@ -576,6 +594,15 @@ class TestCorpusFilter:
                        "--out", str(tmp_path / "k.jsonl"), "--min-score", "1.0"])
         assert rc == 1
         capsys.readouterr()
+
+    def test_list_audio_path_is_data_error(self, tmp_path, capsys):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(json.dumps({"id": "a", "audio_path": ["x"], "style_tag": "read",
+                                        "duration": 1.0, "split": "train"}) + "\n")
+        rc = cli.main(["corpus-filter", str(manifest), "--out", str(tmp_path / "k.jsonl")])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["kind"] == "data"
 
     def test_rerun_byte_identical(self, workspace, tmp_path, capsys):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

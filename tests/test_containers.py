@@ -310,11 +310,36 @@ class TestNgramFiles:
         ([0, 2], [1, 0]),  # a count of 0
     ])
     def test_rejects_non_canonical_row(self, tmp_path, ids, counts):
-        row = (np.array(ids), np.array(counts))
+        """save_ngram refuses the row, and a file that holds it fails to load."""
+        model = NgramModel(order=1, vocab_size=3, alpha=0.1,
+                           counts={(): (np.array(ids), np.array(counts))})
         path = tmp_path / "lm.duss"
-        ct.save_ngram(path, NgramModel(order=1, vocab_size=3, alpha=0.1, counts={(): row}))
+        with pytest.raises(ValidationError, match="strictly increasing ids"):
+            ct.save_ngram(path, model)
+        row = (struct.pack("<dQII", 0.1, 1, 0, len(ids)) + np.array(ids, "<u4").tobytes()
+               + np.array(counts, "<u8").tobytes())
+        ct._write(path, ct.MAGIC_DUSS, (ct.KIND_NGRAM, 1, 3), 0, [row])
         with pytest.raises(DataError, match="strictly increasing ids"):
             ct.load_ngram(path)
+
+    @pytest.mark.parametrize("vocab_size, ctx, ids, match", [
+        (3, (), [2 ** 32 + 1], "outside vocabulary"),  # once saved as id 1
+        (3, (5,), [0], "outside vocabulary"),
+        (3, (0, 0), [0], "too long"),
+        (2 ** 32 + 1, (), [0], "vocab_size"),
+    ])
+    def test_save_refuses_what_load_would_not_read(self, tmp_path, vocab_size, ctx, ids,
+                                                   match):
+        """A model outside the canonical rule fails to save, and the file
+        already at the path keeps its bytes."""
+        path = tmp_path / "lm.duss"
+        ct.save_ngram(path, self._model())
+        before = path.read_bytes()
+        bad = NgramModel(order=2, vocab_size=vocab_size, alpha=0.1,
+                         counts={ctx: (np.array(ids), np.array([1]))})
+        with pytest.raises(ValidationError, match=match):
+            ct.save_ngram(path, bad)
+        assert path.read_bytes() == before
 
     def test_rejects_contexts_out_of_order(self, tmp_path):
         row = (np.array([0]), np.array([1]))
@@ -375,7 +400,7 @@ class TestAtomicWrite:
         # sorts after the valid contexts, and is no u32 token id
         model.counts[(2 ** 40,)] = (np.array([0]), np.array([1]))
         for path in (old, new):
-            with pytest.raises(OverflowError):
+            with pytest.raises(ValidationError, match="outside vocabulary"):
                 ct.save_ngram(path, model)
         assert old.read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == ["old.duss"]

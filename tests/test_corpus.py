@@ -113,6 +113,18 @@ class TestLoadSave:
         with pytest.raises(DataError, match="line 1"):
             cp.load_manifest(path, check_audio=False)
 
+    @pytest.mark.parametrize("field, value", [
+        ("id", 7), ("audio_path", ["x"]), ("style_tag", 5), ("duration", True),
+        ("duration", "1.0"), ("transcript", 3), ("split", None),
+    ])
+    def test_wrong_field_type_is_data_error(self, tmp_path, field, value):
+        row = {"id": "a", "audio_path": "a.wav", "style_tag": "read",
+               "duration": 1.0, "transcript": None, "split": "train", field: value}
+        path = tmp_path / "typed.jsonl"
+        path.write_text(json.dumps(row) + "\n")
+        with pytest.raises(DataError, match=f"line 1: {field} has type"):
+            cp.load_manifest(path)
+
     def test_missing_audio_warns(self, tmp_path):
         manifest = mixed_manifest()
         path = tmp_path / "m.jsonl"

@@ -1,16 +1,18 @@
-"""Independent oracles for the hot paths: a plain DP for the DTW, brute-force
-nearest codes for encoding, a dict-counted n-gram table, and the top-k ∩
-nucleus candidate set for every drawn token. Faster rewrites of these paths
-must keep these properties."""
+"""Independent oracles for the hot paths: a per-band mel filterbank and a
+per-frame log-mel analysis, a plain DP for the DTW, brute-force nearest codes
+for encoding, a dict-counted n-gram table, and the top-k ∩ nucleus candidate
+set for every drawn token. Faster rewrites of these paths must keep these
+properties."""
 
 from collections import Counter, defaultdict
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import signal as sps
 
-from duss import metrics, sampler, toylm
+from duss import dsp, metrics, sampler, toylm
 from duss.codec import Codebook, CodecConfig, RvqCodec, TokenSequence, encode
 from duss.dsp import FeatureKind, FeatureMatrix
 
@@ -19,6 +21,58 @@ from conftest import FRAME_RATE
 # Slack at the nucleus edge: the oracle's candidate set may be larger than the
 # sampler's by tokens this close to the threshold, never smaller.
 NUCLEUS_SLACK = 1e-9
+
+
+def loop_filterbank(sample_rate, n_fft, n_mels, fmin, fmax):
+    """Triangular mel filters built one band at a time."""
+    n_freqs = n_fft // 2 + 1
+    freqs = np.linspace(0.0, sample_rate / 2, n_freqs)
+    pts = dsp.mel_to_hz(np.linspace(dsp.hz_to_mel(fmin), dsp.hz_to_mel(fmax), n_mels + 2))
+    fb = np.zeros((n_mels, n_freqs))
+    for m in range(n_mels):
+        lo, center, hi = pts[m], pts[m + 1], pts[m + 2]
+        up = (freqs - lo) / max(center - lo, 1e-12)
+        down = (hi - freqs) / max(hi - center, 1e-12)
+        fb[m] = np.clip(np.minimum(up, down), 0.0, None)
+    return fb
+
+
+@given(st.integers(1000, 48000), st.integers(2, 4096), st.integers(1, 128),
+       st.floats(0.0, 0.99), st.floats(0.01, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_mel_filterbank_matches_per_band_loop(rate, n_fft, n_mels, lo, hi):
+    nyquist = rate / 2
+    fmin = lo * nyquist
+    fmax = fmin + hi * (nyquist - fmin)
+    assume(fmin < fmax <= nyquist)
+    np.testing.assert_array_equal(dsp.mel_filterbank(rate, n_fft, n_mels, fmin, fmax),
+                                  loop_filterbank(rate, n_fft, n_mels, fmin, fmax))
+
+
+@given(st.sampled_from([8000, 16000, 22050, 24000]), st.integers(4, 512),
+       st.floats(0.0, 1.0), st.integers(1, 40), st.sampled_from(["hann", "hamming",
+                                                                  "rectangular"]),
+       st.integers(1, 1000), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_analyze_matches_per_frame_reference(rate, frame_len, hop_share, n_mels, window,
+                                             n, seed):
+    """Centred reflect-padded frames, each windowed and transformed on its own,
+    give the same log-mel bits as `analyze`."""
+    hop = max(1, round(hop_share * frame_len))
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    cfg = dsp.AnalysisConfig(sample_rate=rate, frame_len=frame_len, hop=hop,
+                             window=window, n_mels=n_mels)
+    win = (np.ones(frame_len) if window == "rectangular"
+           else sps.get_window(window, frame_len, fftbins=True))
+    num_frames = -(-n // hop)
+    left = frame_len // 2
+    right = max(0, (num_frames - 1) * hop + frame_len - left - n)
+    padded = np.pad(x, (left, right), mode="reflect")
+    spec = np.array([np.fft.rfft(padded[t * hop:t * hop + frame_len] * win)
+                     for t in range(num_frames)])
+    fb = loop_filterbank(rate, frame_len, n_mels, 0.0, rate / 2)
+    want = np.log(np.maximum(np.abs(spec) ** 2 @ fb.T, dsp.LOG_EPS))
+    np.testing.assert_array_equal(dsp.analyze(dsp.Waveform(x, rate), cfg).data, want)
 
 
 def plain_dtw(local):
