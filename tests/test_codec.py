@@ -283,6 +283,32 @@ class TestEncodeDecode:
         assert cd.decode(codec, seq).num_frames == 0
 
 
+def per_stage_mse(codec, features):
+    """Mean squared residual left after each stage prefix of the encoding."""
+    seq = cd.encode(codec, features)
+    out = []
+    for s in range(1, seq.num_stages + 1):
+        prefix = cd.TokenSequence(tokens=seq.tokens[:s],
+                                  vocab_size=seq.vocab_size,
+                                  frame_rate=seq.frame_rate)
+        residual = features.data - cd.decode_partial(codec, prefix).data
+        out.append(float(np.mean(np.sum(residual * residual, axis=1))))
+    return tuple(out)
+
+
+class TestQuantizationReport:
+    def test_frames_on_codebook_vectors_report_zero(self, tiny_codec):
+        codec, _ = tiny_codec
+        from duss.dsp import FeatureKind, FeatureMatrix
+        single = cd.RvqCodec(
+            config=cd.CodecConfig(codebook_size=8, num_quantizers=1,
+                                  feature_dim=8),
+            stages=[codec.stages[0]])
+        exact = FeatureMatrix(codec.stages[0].vectors[[1, 4, 7]].copy(),
+                              FRAME_RATE, FeatureKind.MEL_SPECTROGRAM)
+        assert per_stage_mse(single, exact) == pytest.approx((0.0,), abs=1e-20)
+
+
 class TestTokenSequence:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValidationError):
