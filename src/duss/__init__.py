@@ -49,7 +49,6 @@ from .dsp import (
 from .errors import DataError, DussError, ValidationError
 from .metrics import (
     LogF0Result,
-    MetricReport,
     log_f0_rmse,
     mcd,
     measured_bitrate,
@@ -78,9 +77,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisConfig", "CentroidScorer", "Codebook", "CodecConfig",
     "CorpusManifest", "DataError", "DussError", "F0Track", "FeatureKind",
-    "FeatureMatrix", "GenerationResult", "LogF0Result", "MetricReport",
-    "NgramModel", "RvqCodec", "SamplingParams", "SearchSpace", "TokenSequence",
-    "Trial", "TuningHistory", "UtteranceEntry", "ValidationError", "Waveform",
+    "FeatureMatrix", "GenerationResult", "LogF0Result", "NgramModel",
+    "RvqCodec", "SamplingParams", "SearchSpace", "TokenSequence", "Trial",
+    "TuningHistory", "UtteranceEntry", "ValidationError", "Waveform",
     "analyze", "apply_temperature", "decode", "decode_partial", "encode",
     "estimate_f0", "filter_by_score", "filter_candidates", "filter_styles",
     "generate", "griffin_lim", "load_codec", "load_features", "load_manifest",

@@ -13,7 +13,6 @@ import dataclasses
 import json
 import os
 import sys
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -153,11 +152,10 @@ def _audio_path(base_dir: str, entry: corpus.UtteranceEntry) -> str:
 
 
 def _load_manifest_diag(path) -> corpus.CorpusManifest:
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        manifest = corpus.load_manifest(path)
-    for w in caught:
-        _diag("warning", message=str(w.message))
+    """Load a manifest, warning once per audio file that does not exist."""
+    manifest = corpus.load_manifest(path)
+    for missing in corpus.missing_audio(manifest, os.path.dirname(os.path.abspath(path))):
+        _diag("warning", message=f"{path}: audio file not found: {missing}")
     return manifest
 
 
@@ -379,9 +377,8 @@ def cmd_evaluate(args) -> int:
         f0_result = metrics.log_f0_rmse(ref_f0, syn_f0)
         if f0_result.no_overlap:
             _diag("warning", message=f"{ref_entry.id}: no shared voiced frames")
-        rows.append(metrics.UtteranceMetrics(
-            utterance_id=ref_entry.id, mcd_db=mcd_db,
-            log_f0_rmse=f0_result.rmse, f0_no_overlap=f0_result.no_overlap))
+        rows.append({"id": ref_entry.id, "mcd_db": mcd_db,
+                     "log_f0_rmse": f0_result.rmse, "f0_no_overlap": f0_result.no_overlap})
 
     if args.tokens:
         seqs = [containers.load_tokens(p) for p in args.tokens]
@@ -395,13 +392,17 @@ def cmd_evaluate(args) -> int:
     else:
         bitrate = 0.0
 
-    report = metrics.summarize(bitrate, rows)
+    report = {"bitrate_bps": bitrate,
+              "mcd_db": float(np.mean([r["mcd_db"] for r in rows])),
+              "log_f0_rmse": float(np.mean([r["log_f0_rmse"] for r in rows])),
+              "num_utterances": len(rows), "per_utterance": rows}
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(report.to_json() + "\n")
-    print(report.to_table())
-    _diag("evaluated", utterances=report.num_utterances,
-          mcd_db=report.mcd_db, log_f0_rmse=report.log_f0_rmse)
+            fh.write(json.dumps(report, indent=2) + "\n")
+    print(f"{'Bitrate (bps)':>14}  {'MCD (dB)':>10}  {'Log F0 RMSE':>12}")
+    print(f"{bitrate:>14.2f}  {report['mcd_db']:>10.4f}  {report['log_f0_rmse']:>12.4f}")
+    _diag("evaluated", utterances=len(rows),
+          mcd_db=report["mcd_db"], log_f0_rmse=report["log_f0_rmse"])
     return 0
 
 
@@ -416,17 +417,11 @@ def cmd_corpus_filter(args) -> int:
         if not args.scores:
             raise ValidationError("--min-score requires --scores CSV")
         table = _read_score_csv(args.scores)
-
-        def lookup(entry: corpus.UtteranceEntry) -> float:
+        for entry in filtered.entries:
             if entry.id not in table:
-                raise DataError(f"no score for utterance {entry.id}")
-            return table[entry.id]
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            filtered, scored = corpus.filter_by_score(filtered, lookup, args.min_score)
-        for w in caught:
-            _diag("warning", message=str(w.message))
+                _diag("warning", message=f"{entry.id}: dropped, scorer failed: "
+                                         f"no score for utterance {entry.id}")
+        filtered, scored = corpus.filter_by_score(filtered, table, args.min_score)
         if args.style_scores_out:
             corpus.write_style_scores(scored, args.style_scores_out)
 
@@ -438,7 +433,7 @@ def cmd_corpus_filter(args) -> int:
 
 
 def _read_score_csv(path) -> Dict[str, float]:
-    """Two-column CSV id,score with an optional header row."""
+    """Two-column CSV id,score with an optional header row; scores must be finite."""
     table = {}
     for line_no, line in enumerate(read_lines(path, "scores file"), start=1):
         line = line.strip()
@@ -450,9 +445,12 @@ def _read_score_csv(path) -> Dict[str, float]:
         if line_no == 1 and parts[1].strip() == "score":
             continue
         try:
-            table[parts[0].strip()] = float(parts[1])
+            score = float(parts[1])
+            if not np.isfinite(score):
+                raise ValueError
         except ValueError:
             raise DataError(f"{path}:{line_no}: bad score {parts[1]!r}")
+        table[parts[0].strip()] = score
     return table
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -83,14 +83,13 @@ class RvqCodec:
 class TokenSequence:
     """Q parallel integer token streams of equal length T.
 
-    Tokens are in [0, vocab_size); the reserved stop id (vocab_size) never
-    appears in codec output and is only tracked for generated sequences.
+    Tokens are in [0, vocab_size); the stop id of generation is vocab_size
+    by convention, so it never appears in a sequence.
     """
 
     tokens: np.ndarray
     vocab_size: int
     frame_rate: Fraction
-    stop_token_id: Optional[int] = None
 
     def __post_init__(self):
         tokens = np.ascontiguousarray(np.asarray(self.tokens, dtype=np.int64))
@@ -102,10 +101,6 @@ class TokenSequence:
             raise ValidationError(
                 f"tokens must lie in [0, {self.vocab_size}), "
                 f"got range [{tokens.min()}, {tokens.max()}]")
-        if self.stop_token_id is not None and self.stop_token_id != self.vocab_size:
-            raise ValidationError(
-                f"stop_token_id must equal vocab_size ({self.vocab_size}), "
-                f"got {self.stop_token_id}")
         rate = Fraction(self.frame_rate)
         if rate <= 0:
             raise ValidationError(f"frame_rate must be positive, got {rate}")

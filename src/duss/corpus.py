@@ -6,9 +6,8 @@ from __future__ import annotations
 import csv
 import json
 import os
-import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import DataError, ValidationError, check_json_types, read_lines
 
@@ -32,8 +31,8 @@ class UtteranceEntry:
     def __post_init__(self):
         if not self.id:
             raise ValidationError("utterance id must be non-empty")
-        if not self.duration > 0:
-            raise ValidationError(f"{self.id}: duration must be > 0, got {self.duration}")
+        if not 0 < self.duration < float("inf"):
+            raise ValidationError(f"{self.id}: duration must be finite and > 0, got {self.duration}")
         if self.split not in SPLITS:
             raise ValidationError(f"{self.id}: split must be one of {SPLITS}, got {self.split!r}")
 
@@ -61,14 +60,10 @@ class CorpusManifest:
         return {e.style_tag for e in self.entries}
 
 
-def load_manifest(path, check_audio: bool = True) -> CorpusManifest:
+def load_manifest(path) -> CorpusManifest:
     """Read a JSON-lines manifest; rows that fail to parse name their line.
-
-    Audio paths are resolved relative to the manifest's directory when
-    checking existence; missing files produce warnings, not errors.
-    """
+    Audio files are not opened (see `missing_audio`)."""
     entries = []
-    base = os.path.dirname(os.path.abspath(path))
     for line_no, line in enumerate(read_lines(path, "manifest"), start=1):
         line = line.strip()
         if not line:
@@ -80,21 +75,13 @@ def load_manifest(path, check_audio: bool = True) -> CorpusManifest:
         except (KeyError, TypeError, ValueError, ValidationError) as exc:
             raise DataError(f"{path}: bad manifest row on line {line_no}: {exc}")
         entries.append(entry)
-    manifest = CorpusManifest(entries=tuple(entries))
-    if check_audio:
-        for missing in missing_audio(manifest, base):
-            warnings.warn(f"{path}: audio file not found: {missing}", stacklevel=2)
-    return manifest
+    return CorpusManifest(entries=tuple(entries))
 
 
 def missing_audio(manifest: CorpusManifest, base_dir: str = ".") -> List[str]:
     """Audio paths (as written in the manifest) that do not exist on disk."""
-    out = []
-    for entry in manifest.entries:
-        resolved = os.path.join(base_dir, entry.audio_path)
-        if not os.path.exists(resolved):
-            out.append(entry.audio_path)
-    return out
+    return [e.audio_path for e in manifest.entries
+            if not os.path.exists(os.path.join(base_dir, e.audio_path))]
 
 
 def save_manifest(manifest: CorpusManifest, path) -> None:
@@ -122,27 +109,13 @@ def filter_styles(manifest: CorpusManifest,
     return replace(manifest, entries=tuple(kept)), removed
 
 
-def filter_by_score(manifest: CorpusManifest,
-                    scorer: Callable[[UtteranceEntry], float],
+def filter_by_score(manifest: CorpusManifest, scores: Dict[str, float],
                     threshold: float) -> Tuple[CorpusManifest, List[Tuple[UtteranceEntry, float]]]:
-    """Keep entries scoring >= threshold; return all computed (entry, score).
-
-    The scorer is any callable on an entry; entries whose scorer raises
-    DataError or OSError are dropped with a warning and appear in neither
-    the output manifest nor the score list.
-    """
-    kept = []
-    scored = []
-    for entry in manifest.entries:
-        try:
-            score = float(scorer(entry))
-        except (DataError, OSError) as exc:
-            warnings.warn(f"{entry.id}: dropped, scorer failed: {exc}", stacklevel=2)
-            continue
-        scored.append((entry, score))
-        if score >= threshold:
-            kept.append(entry)
-    return replace(manifest, entries=tuple(kept)), scored
+    """Keep entries scoring >= threshold and return every (entry, score) of the
+    table; entries without a score are in neither."""
+    scored = [(e, scores[e.id]) for e in manifest.entries if e.id in scores]
+    kept = tuple(e for e, score in scored if score >= threshold)
+    return replace(manifest, entries=kept), scored
 
 
 def write_style_scores(scored: Sequence[Tuple[UtteranceEntry, float]], path) -> None:

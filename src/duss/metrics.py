@@ -3,7 +3,6 @@ distortion with DTW alignment, and log-F0 RMSE over voiced frames."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
@@ -167,68 +166,3 @@ def log_f0_rmse(ref: F0Track, syn: F0Track) -> LogF0Result:
     diffs = log_r[xi[keep]] - log_s[yi[keep]]
     return LogF0Result(rmse=float(np.sqrt(np.mean(diffs * diffs))),
                        no_overlap=False, num_pairs=int(keep.sum()))
-
-
-# ---------------------------------------------------------------------------
-# Aggregated reporting
-
-
-@dataclass(frozen=True)
-class UtteranceMetrics:
-    utterance_id: str
-    mcd_db: float
-    log_f0_rmse: float
-    f0_no_overlap: bool = False
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """Corpus-level metric summary plus the per-utterance breakdown."""
-
-    bitrate_bps: float
-    mcd_db: float
-    log_f0_rmse: float
-    per_utterance: Tuple[UtteranceMetrics, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "per_utterance", tuple(self.per_utterance))
-        for name in ("bitrate_bps", "mcd_db", "log_f0_rmse"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                raise ValidationError(f"{name} must be finite and >= 0, got {value}")
-
-    @property
-    def num_utterances(self) -> int:
-        return len(self.per_utterance)
-
-    def to_json(self) -> str:
-        payload = {
-            "bitrate_bps": self.bitrate_bps,
-            "mcd_db": self.mcd_db,
-            "log_f0_rmse": self.log_f0_rmse,
-            "num_utterances": self.num_utterances,
-            "per_utterance": [
-                {"id": u.utterance_id, "mcd_db": u.mcd_db,
-                 "log_f0_rmse": u.log_f0_rmse, "f0_no_overlap": u.f0_no_overlap}
-                for u in self.per_utterance
-            ],
-        }
-        return json.dumps(payload, indent=2)
-
-    def to_table(self) -> str:
-        header = f"{'Bitrate (bps)':>14}  {'MCD (dB)':>10}  {'Log F0 RMSE':>12}"
-        row = (f"{self.bitrate_bps:>14.2f}  {self.mcd_db:>10.4f}  "
-               f"{self.log_f0_rmse:>12.4f}")
-        return header + "\n" + row
-
-
-def summarize(bitrate_bps: float, rows: Sequence[UtteranceMetrics]) -> MetricReport:
-    """Mean the per-utterance metrics into a corpus-level report."""
-    if not rows:
-        raise ValidationError("summarize requires at least one utterance")
-    return MetricReport(
-        bitrate_bps=bitrate_bps,
-        mcd_db=float(np.mean([r.mcd_db for r in rows])),
-        log_f0_rmse=float(np.mean([r.log_f0_rmse for r in rows])),
-        per_utterance=tuple(rows),
-    )

@@ -144,6 +144,5 @@ def generate(model, params: SamplingParams, max_len: int, rng: np.random.Generat
             break
         context.append(int(token))
     tokens = np.asarray([context], dtype=np.int64)
-    seq = TokenSequence(tokens=tokens, vocab_size=stop_id, frame_rate=frame_rate,
-                        stop_token_id=stop_id)
+    seq = TokenSequence(tokens=tokens, vocab_size=stop_id, frame_rate=frame_rate)
     return GenerationResult(sequence=seq, natural=natural)

@@ -40,8 +40,8 @@ class NgramModel:
             raise ValidationError(f"order must be >= 1, got {self.order}")
         if self.vocab_size < 2:
             raise ValidationError(f"vocab_size must be >= 2, got {self.vocab_size}")
-        if not self.alpha > 0:
-            raise ValidationError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < np.inf:
+            raise ValidationError(f"alpha must be positive and finite, got {self.alpha}")
 
     @property
     def stop_id(self) -> int:

@@ -11,7 +11,7 @@ from typing import List, Protocol
 import numpy as np
 
 from .codec import RvqCodec, TokenSequence, decode_partial
-from .errors import DataError, ValidationError, check_json_types, read_lines
+from .errors import ValidationError
 from .sampler import DEFAULT_MAX_LEN, SamplingParams, generate
 
 PARAM_NAMES = ("k", "p", "temperature")
@@ -34,13 +34,13 @@ class SearchSpace:
 
     def __post_init__(self):
         k_min, k_max = self.k_range
-        if k_min < 1 or k_max < k_min:
+        if not 1 <= k_min <= k_max <= 2 ** 63 - 1:  # k is drawn as an int64
             raise ValidationError(f"bad k_range {self.k_range}")
         p_lo, p_hi = self.p_range
         if not 0.0 < p_lo < p_hi <= 1.0:
             raise ValidationError(f"bad p_range {self.p_range}")
         t_lo, t_hi = self.temp_range
-        if not 0.0 < t_lo < t_hi:
+        if not 0.0 < t_lo < t_hi < math.inf:
             raise ValidationError(f"bad temp_range {self.temp_range}")
 
     def contains(self, params: SamplingParams) -> bool:
@@ -210,31 +210,3 @@ def save_history_jsonl(history: TuningHistory, path) -> None:
                    "temperature": t.params.temperature, "score": t.score,
                    "seed": t.seed, "flagged": t.flagged}
             fh.write(json.dumps(row) + "\n")
-
-
-# JSON type per history field.
-_ROW_TYPES = {"index": int, "k": int, "p": (int, float), "temperature": (int, float),
-              "score": (int, float), "seed": int, "flagged": bool}
-
-
-def load_history_jsonl(path) -> TuningHistory:
-    trials = []
-    for line_no, line in enumerate(read_lines(path, "tuning history"), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            row = {"flagged": False, **json.loads(line)}
-            check_json_types(row, _ROW_TYPES)
-            if math.isnan(row["score"]):
-                raise ValueError("score is NaN")
-            trial = Trial(index=row["index"],
-                          params=SamplingParams(k=row["k"], p=row["p"],
-                                                temperature=row["temperature"]),
-                          score=row["score"], seed=row["seed"], flagged=row["flagged"])
-        except (KeyError, TypeError, ValueError, ValidationError) as exc:
-            raise DataError(f"{path}: bad trial record on line {line_no}: {exc}")
-        trials.append(trial)
-    if not trials:
-        raise DataError(f"{path}: empty tuning history")
-    return TuningHistory(trials=trials)

@@ -11,7 +11,7 @@ import struct
 import numpy as np
 import pytest
 
-from duss import cli, containers, corpus, tuner
+from duss import cli, containers, corpus
 from duss.codec import TokenSequence
 from duss.dsp import read_wav
 from duss.errors import DataError, ValidationError
@@ -39,6 +39,20 @@ def last_error(err: str) -> dict:
     errors = [d for d in diag_messages(err) if d.get("event") == "error"]
     assert errors, f"no error diagnostic in: {err!r}"
     return errors[-1]
+
+
+GHOST_ROW = json.dumps({"id": "ghost", "audio_path": "audio/ghost.wav", "style_tag": "read",
+                        "duration": 0.6, "transcript": None, "split": "train"})
+
+
+def with_missing_audio(workspace, tmp_path) -> str:
+    """The workspace manifest plus a row whose WAV does not exist, written next
+    to the workspace audio (the copy's directory gets a link to it)."""
+    os.symlink(os.path.join(workspace["root"], "audio"), tmp_path / "audio")
+    manifest = str(tmp_path / "missing.jsonl")
+    with open(workspace["manifest"]) as src, open(manifest, "w") as dst:
+        dst.write(src.read() + GHOST_ROW + "\n")
+    return manifest
 
 
 @pytest.fixture(scope="session")
@@ -103,13 +117,12 @@ class TestParsing:
 
     @pytest.mark.parametrize("reader, argv", [
         (corpus.load_manifest, lambda ws, bad, out: ["train-codec", bad, "--out", out]),
-        (tuner.load_history_jsonl, None),
         (cli.parse_config_file, lambda ws, bad, out: [
             "train-codec", ws["manifest"], "--out", out, "--config", bad]),
         (cli._read_score_csv, lambda ws, bad, out: [
             "corpus-filter", ws["manifest"], "--out", out, "--min-score", "0",
             "--scores", bad]),
-    ], ids=["manifest", "history", "config", "scores"])
+    ], ids=["manifest", "config", "scores"])
     def test_non_utf8_text_input_is_data_error(self, workspace, tmp_path, capsys,
                                                reader, argv):
         bad = str(tmp_path / "utf16.txt")
@@ -117,13 +130,12 @@ class TestParsing:
             fh.write(b"\xff\xfei\x00d\x00")
         with pytest.raises(DataError, match="utf16.txt"):
             reader(bad)
-        if argv is not None:
-            assert cli.main(argv(workspace, bad, str(tmp_path / "out"))) == 2
-            lines = capsys.readouterr().err.splitlines()
-            assert len(lines) == 1
-            event = json.loads(lines[0])
-            assert event["event"] == "error" and event["kind"] == "data"
-            assert bad in event["message"]
+        assert cli.main(argv(workspace, bad, str(tmp_path / "out"))) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        event = json.loads(lines[0])
+        assert event["event"] == "error" and event["kind"] == "data"
+        assert bad in event["message"]
 
 
 class TestSettings:
@@ -227,6 +239,15 @@ class TestTrainCodec:
         assert mse[1] <= mse[0]
         codec = containers.load_codec(out)
         assert codec.config.codebook_size == 16
+
+    def test_missing_audio_warns_before_the_read_fails(self, workspace, tmp_path, capsys):
+        manifest = with_missing_audio(workspace, tmp_path)
+        rc = cli.main(["train-codec", manifest, "--out", str(tmp_path / "c.duss")])
+        assert rc == 2
+        warning, error = diag_messages(capsys.readouterr().err)
+        assert warning == {"event": "warning",
+                           "message": f"{manifest}: audio file not found: audio/ghost.wav"}
+        assert error["kind"] == "data" and "ghost.wav" in error["message"]
 
     def test_only_excluded_styles_errors(self, workspace, tmp_path, capsys):
         rc = cli.main(["train-codec", workspace["manifest"],
@@ -362,6 +383,13 @@ class TestTrainLm:
         assert "trained order-3 model, vocab 17 (stop id 16)" in capsys.readouterr().out
         assert out.read_bytes() == open(workspace["lm"], "rb").read()
 
+    def test_infinite_alpha_rejected(self, workspace, tmp_path, capsys):
+        out = tmp_path / "lm.duss"
+        rc = cli.main(["train-lm", workspace["tokens"], "--out", str(out), "--alpha", "inf"])
+        assert rc == 1
+        assert "alpha must be positive and finite" in last_error(capsys.readouterr().err)["message"]
+        assert not out.exists()
+
     def test_multiple_token_files(self, workspace, tmp_path, capsys):
         rc = cli.main(["train-lm", workspace["tokens"], workspace["tokens"],
                        "--out", str(tmp_path / "lm2.duss")])
@@ -488,6 +516,21 @@ class TestTune:
         assert f"{flag}: must be >= 1, got 0" in json.loads(lines[0])["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--temp-max", "inf"],
+                                       ["--k-max", "99999999999999999999"]])
+    def test_unbounded_search_space_rejected(self, workspace, tmp_path, capsys, flags):
+        out = tmp_path / "h.jsonl"
+        rc = cli.main(["tune", workspace["lm"], workspace["codec"],
+                       "--out", str(out), "--n-trials", "2", *flags])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        event = json.loads(lines[0])
+        assert event["kind"] == "validation" and event["message"].startswith("bad ")
+        assert not out.exists()
+
     def test_rerun_byte_identical(self, workspace, tmp_path, capsys):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         for out in (a, b):
@@ -557,7 +600,7 @@ class TestCorpusFilter:
         assert "excluded style 'whisper': removed 2" in stdout
         assert "kept 6 of 8 utterances" in stdout
         from duss.corpus import load_manifest
-        kept = load_manifest(out, check_audio=False)
+        kept = load_manifest(out)
         assert "whisper" not in kept.style_tags()
 
     def test_score_threshold_with_csv(self, workspace, tmp_path, capsys):
@@ -572,22 +615,50 @@ class TestCorpusFilter:
         assert rc == 0
         capsys.readouterr()
         from duss.corpus import load_manifest
-        kept = load_manifest(out, check_audio=False)
+        kept = load_manifest(out)
         assert kept.ids == [e[0] for e in ENTRIES[4:]]
         assert dist.read_text().splitlines()[0] == "style_tag,score"
 
     def test_missing_score_drops_with_warning(self, workspace, tmp_path, capsys):
         scores = tmp_path / "partial.csv"
-        scores.write_text("id,score\nutt_000,5.0\n")
+        scores.write_text("id,score\nutt_000,5.0\nutt_001,-1.0\n")
         out = tmp_path / "kept.jsonl"
+        dist = tmp_path / "style_scores.csv"
         rc = cli.main(["corpus-filter", workspace["manifest"], "--out", str(out),
-                       "--min-score", "0.0", "--scores", str(scores)])
+                       "--min-score", "0.0", "--scores", str(scores),
+                       "--style-scores-out", str(dist)])
         assert rc == 0
-        warned = [d for d in diag_messages(capsys.readouterr().err)
+        warned = [d["message"] for d in diag_messages(capsys.readouterr().err)
                   if d["event"] == "warning"]
-        assert len(warned) == len(ENTRIES) - 1
+        assert warned == [f"{e[0]}: dropped, scorer failed: no score for utterance {e[0]}"
+                          for e in ENTRIES[2:]]
         from duss.corpus import load_manifest
-        assert load_manifest(out, check_audio=False).ids == ["utt_000"]
+        assert load_manifest(out).ids == ["utt_000"]
+        assert dist.read_text().splitlines() == ["style_tag,score", "read,5.0", "read,-1.0"]
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_non_finite_score_is_data_error(self, workspace, tmp_path, capsys, score):
+        scores = tmp_path / "scores.csv"
+        scores.write_text(f"id,score\nutt_000,1.0\nutt_001,{score}\n")
+        out, dist = tmp_path / "kept.jsonl", tmp_path / "style_scores.csv"
+        rc = cli.main(["corpus-filter", workspace["manifest"], "--out", str(out),
+                       "--min-score", "0.0", "--scores", str(scores),
+                       "--style-scores-out", str(dist)])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["message"] == f"{scores}:3: bad score '{score}'"
+        assert not out.exists() and not dist.exists()
+
+    def test_missing_audio_warns(self, workspace, tmp_path, capsys):
+        manifest = with_missing_audio(workspace, tmp_path)
+        out = tmp_path / "kept.jsonl"
+        assert cli.main(["corpus-filter", manifest, "--out", str(out)]) == 0
+        warning, written = diag_messages(capsys.readouterr().err)
+        assert warning == {"event": "warning",
+                           "message": f"{manifest}: audio file not found: audio/ghost.wav"}
+        assert written["event"] == "manifest_written"
+        assert out.read_text().splitlines()[-1] == GHOST_ROW
 
     def test_min_score_requires_scores(self, workspace, tmp_path, capsys):
         rc = cli.main(["corpus-filter", workspace["manifest"],

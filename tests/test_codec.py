@@ -321,9 +321,10 @@ class TestTokenSequence:
                              frame_rate=FRAME_RATE)
 
     def test_stop_id_must_be_vocab_size(self):
-        with pytest.raises(ValidationError):
-            cd.TokenSequence(tokens=np.array([[0]]), vocab_size=8,
-                             frame_rate=FRAME_RATE, stop_token_id=3)
+        """The stop id of generation is V by convention, so no sequence holds it."""
+        with pytest.raises(ValidationError, match=r"\[0, 8\)"):
+            cd.TokenSequence(tokens=np.array([[0, 8]]), vocab_size=8,
+                             frame_rate=FRAME_RATE)
 
     def test_shape_accessors(self):
         seq = cd.TokenSequence(tokens=np.zeros((3, 7), dtype=np.int64),

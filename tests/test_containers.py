@@ -1,6 +1,7 @@
 """Binary container round trips and corruption handling for the DUSS and
 DUST file formats."""
 
+import math
 import os
 import struct
 from fractions import Fraction
@@ -14,6 +15,7 @@ from duss import containers as ct
 from duss.codec import CodecConfig, RvqCodec, TokenSequence, train_codebooks
 from duss.dsp import FeatureKind, FeatureMatrix
 from duss.errors import DataError, ValidationError
+from duss.sampler import SamplingParams, generate
 from duss.toylm import NgramModel, train_ngram
 
 from conftest import FRAME_RATE, make_feature_matrix
@@ -183,10 +185,9 @@ class TestCodecFiles:
 
 
 class TestTokenFiles:
-    def _seq(self, stop=False):
+    def _seq(self):
         tokens = np.array([[0, 3, 2, 1], [1, 1, 0, 2]], dtype=np.int64)
-        return TokenSequence(tokens=tokens, vocab_size=4, frame_rate=FRAME_RATE,
-                             stop_token_id=4 if stop else None)
+        return TokenSequence(tokens=tokens, vocab_size=4, frame_rate=FRAME_RATE)
 
     def test_round_trip(self, tmp_path):
         seq = self._seq()
@@ -198,9 +199,19 @@ class TestTokenFiles:
         assert got.frame_rate == FRAME_RATE
 
     def test_stop_id_not_stored(self, tmp_path):
-        path = tmp_path / "tok.dust"
-        ct.save_tokens(path, self._seq(stop=True))
-        assert ct.load_tokens(path).stop_token_id is None
+        """A stream generated up to its stop id (V = 4) saves as the same bytes as
+        the tokens before the stop."""
+        def stops_after_three(context):
+            return np.array([0.0, -50.0, -50.0, -50.0, 50.0 if len(context) == 3 else -50.0])
+
+        result = generate(stops_after_three, SamplingParams(k=1, p=1.0, temperature=1.0),
+                          10, np.random.default_rng(0), frame_rate=FRAME_RATE)
+        assert result.natural
+        generated, plain = tmp_path / "gen.dust", tmp_path / "plain.dust"
+        ct.save_tokens(generated, result.sequence)
+        ct.save_tokens(plain, TokenSequence(tokens=np.zeros((1, 3), dtype=np.int64),
+                                            vocab_size=4, frame_rate=FRAME_RATE))
+        assert generated.read_bytes() == plain.read_bytes()
 
     def test_repeated_saves_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.dust", tmp_path / "b.dust"
@@ -302,6 +313,16 @@ class TestNgramFiles:
         struct.pack_into("<Q", buf, 20, 2 ** 40)
         path.write_bytes(bytes(buf))
         with pytest.raises(DataError, match="vocab_size"):
+            ct.load_ngram(path)
+
+    def test_rejects_infinite_alpha(self, tmp_path):
+        path = tmp_path / "lm.duss"
+        ct.save_ngram(path, self._model())
+        buf = bytearray(path.read_bytes())
+        assert struct.unpack_from("<d", buf, 44) == (0.25,)  # alpha follows the header
+        struct.pack_into("<d", buf, 44, math.inf)
+        path.write_bytes(bytes(buf))
+        with pytest.raises(DataError, match="invalid model header: alpha must be positive"):
             ct.load_ngram(path)
 
     @pytest.mark.parametrize("ids, counts", [

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from duss import cli
 from duss import corpus as cp
 from duss.errors import DataError, ValidationError
 
@@ -32,6 +33,11 @@ def random_manifest(seed):
     entries = tuple(entry(i, STYLES[rng.integers(0, len(STYLES))])
                     for i in range(rng.integers(1, 10)))
     return cp.CorpusManifest(entries=entries)
+
+
+def random_scores(manifest):
+    """A standard-normal score per id, seeded by the id."""
+    return {i: float(np.random.default_rng(hash(i) % 2 ** 32).normal()) for i in manifest.ids}
 
 
 class TestEntryValidation:
@@ -74,7 +80,7 @@ class TestLoadSave:
         ]
         path = tmp_path / "fixture.jsonl"
         path.write_text("".join(json.dumps(r) + "\n" for r in rows))
-        manifest = cp.load_manifest(path, check_audio=False)
+        manifest = cp.load_manifest(path)
         assert len(manifest) == 3
         got = manifest.entries[0]
         assert (got.id, got.audio_path, got.style_tag, got.duration,
@@ -88,7 +94,7 @@ class TestLoadSave:
         first = tmp_path / "one.jsonl"
         second = tmp_path / "two.jsonl"
         cp.save_manifest(manifest, first)
-        reloaded = cp.load_manifest(first, check_audio=False)
+        reloaded = cp.load_manifest(first)
         cp.save_manifest(reloaded, second)
         assert first.read_bytes() == second.read_bytes()
 
@@ -98,20 +104,20 @@ class TestLoadSave:
         path = tmp_path / "dup.jsonl"
         path.write_text(json.dumps(row) + "\n" + json.dumps(row) + "\n")
         with pytest.raises(ValidationError, match="dup"):
-            cp.load_manifest(path, check_audio=False)
+            cp.load_manifest(path)
 
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "a", "audio_path": "a.wav", "style_tag": "read",'
                         ' "duration": 1.0, "split": "train"}\nnot json\n')
         with pytest.raises(DataError, match="line 2"):
-            cp.load_manifest(path, check_audio=False)
+            cp.load_manifest(path)
 
     def test_missing_field_names_line(self, tmp_path):
         path = tmp_path / "short.jsonl"
         path.write_text('{"id": "a"}\n')
         with pytest.raises(DataError, match="line 1"):
-            cp.load_manifest(path, check_audio=False)
+            cp.load_manifest(path)
 
     @pytest.mark.parametrize("field, value", [
         ("id", 7), ("audio_path", ["x"]), ("style_tag", 5), ("duration", True),
@@ -125,30 +131,42 @@ class TestLoadSave:
         with pytest.raises(DataError, match=f"line 1: {field} has type"):
             cp.load_manifest(path)
 
-    def test_missing_audio_warns(self, tmp_path):
-        manifest = mixed_manifest()
-        path = tmp_path / "m.jsonl"
-        cp.save_manifest(manifest, path)
-        with pytest.warns(UserWarning, match="not found"):
+    @pytest.mark.parametrize("duration", ["Infinity", "NaN"])
+    def test_non_finite_duration_is_data_error(self, tmp_path, duration):
+        path = tmp_path / "inf.jsonl"
+        path.write_text('{"id": "a", "audio_path": "a.wav", "style_tag": "read", '
+                        f'"duration": {duration}, "transcript": null, "split": "train"}}\n')
+        with pytest.raises(DataError, match="line 1: a: duration must be finite and > 0"):
             cp.load_manifest(path)
 
-    def test_present_audio_does_not_warn(self, tmp_path):
+    def test_missing_audio_warns(self, tmp_path, capsys):
+        """The library only lists missing audio; the CLI's manifest loader warns."""
+        manifest = mixed_manifest()
+        path = str(tmp_path / "m.jsonl")
+        cp.save_manifest(manifest, path)
+        assert cp.load_manifest(path) == manifest
+        assert cp.missing_audio(manifest, str(tmp_path)) == [e.audio_path for e in manifest.entries]
+        assert cli._load_manifest_diag(path) == manifest
+        assert capsys.readouterr().err.splitlines() == [
+            json.dumps({"event": "warning", "message": f"{path}: audio file not found: {e.audio_path}"})
+            for e in manifest.entries]
+
+    def test_present_audio_does_not_warn(self, tmp_path, capsys):
         os.makedirs(tmp_path / "audio")
         manifest = cp.CorpusManifest(entries=(entry(0),))
         (tmp_path / "audio" / "utt_0.wav").write_bytes(b"")
         path = tmp_path / "m.jsonl"
         cp.save_manifest(manifest, path)
-        import warnings as w
-        with w.catch_warnings():
-            w.simplefilter("error")
-            cp.load_manifest(path)
+        assert cp.missing_audio(manifest, str(tmp_path)) == []
+        cli._load_manifest_diag(path)
+        assert capsys.readouterr().err == ""
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "gaps.jsonl"
         row = {"id": "a", "audio_path": "a.wav", "style_tag": "read",
                "duration": 1.0, "split": "train"}
         path.write_text("\n" + json.dumps(row) + "\n\n")
-        assert len(cp.load_manifest(path, check_audio=False)) == 1
+        assert len(cp.load_manifest(path)) == 1
 
 
 class TestFilterStyles:
@@ -192,34 +210,42 @@ class TestFilterStyles:
 class TestFilterByScore:
     def test_minus_infinity_threshold_keeps_all(self):
         manifest = mixed_manifest()
-        filtered, scored = cp.filter_by_score(manifest, lambda e: 0.0, -math.inf)
+        filtered, scored = cp.filter_by_score(manifest, dict.fromkeys(manifest.ids, 0.0),
+                                              -math.inf)
         assert filtered.entries == manifest.entries
         assert len(scored) == len(manifest)
 
     def test_threshold_is_inclusive(self):
-        filtered, _ = cp.filter_by_score(mixed_manifest(), lambda e: 3.0, 3.0)
+        filtered, _ = cp.filter_by_score(mixed_manifest(),
+                                         dict.fromkeys(mixed_manifest().ids, 3.0), 3.0)
         assert len(filtered) == len(mixed_manifest())
 
     def test_hand_checked_comparison(self):
         entries = (entry(0), entry(1), entry(2))
         manifest = cp.CorpusManifest(entries=entries)
         table = {"utt_0": 1.0, "utt_1": 2.0, "utt_2": 3.0}
-        filtered, scored = cp.filter_by_score(manifest, lambda e: table[e.id], 2.0)
+        filtered, scored = cp.filter_by_score(manifest, table, 2.0)
         assert filtered.ids == ["utt_1", "utt_2"]
         assert [(e.id, s) for e, s in scored] == [
             ("utt_0", 1.0), ("utt_1", 2.0), ("utt_2", 3.0)]
 
-    def test_failing_scorer_drops_with_warning(self):
-        def scorer(e):
-            if e.id == "utt_1":
-                raise DataError("unreadable audio")
-            return 5.0
-
-        with pytest.warns(UserWarning, match="utt_1"):
-            filtered, scored = cp.filter_by_score(mixed_manifest(), scorer, 0.0)
+    def test_failing_scorer_drops_with_warning(self, tmp_path, capsys):
+        """An id the score table lacks is dropped from both results, and
+        `duss corpus-filter` warns about it."""
+        table = {i: 5.0 for i in mixed_manifest().ids if i != "utt_1"}
+        filtered, scored = cp.filter_by_score(mixed_manifest(), table, 0.0)
         assert "utt_1" not in filtered.ids
         assert all(e.id != "utt_1" for e, _ in scored)
         assert len(filtered) == len(mixed_manifest()) - 1
+
+        path, scores = tmp_path / "m.jsonl", tmp_path / "scores.csv"
+        cp.save_manifest(mixed_manifest(), path)
+        scores.write_text("".join(f"{i},{v}\n" for i, v in table.items()))
+        assert cli.main(["corpus-filter", str(path), "--out", str(tmp_path / "k.jsonl"),
+                         "--min-score", "0", "--scores", str(scores)]) == 0
+        events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert [e["message"] for e in events if "dropped" in e.get("message", "")] == [
+            "utt_1: dropped, scorer failed: no score for utterance utt_1"]
 
     @given(seed=st.integers(0, 2 ** 32 - 1),
            threshold=st.floats(-2.0, 2.0),
@@ -227,10 +253,10 @@ class TestFilterByScore:
     @settings(max_examples=50, deadline=None)
     def test_filters_commute(self, seed, threshold, excluded):
         manifest = random_manifest(seed)
-        scorer = lambda e: float(np.random.default_rng(hash(e.id) % 2 ** 32).normal())
+        scores = random_scores(manifest)
         a, _ = cp.filter_styles(manifest, excluded)
-        a, _ = cp.filter_by_score(a, scorer, threshold)
-        b, _ = cp.filter_by_score(manifest, scorer, threshold)
+        a, _ = cp.filter_by_score(a, scores, threshold)
+        b, _ = cp.filter_by_score(manifest, scores, threshold)
         b, _ = cp.filter_styles(b, excluded)
         assert a.entries == b.entries
 
@@ -238,9 +264,9 @@ class TestFilterByScore:
     @settings(max_examples=50, deadline=None)
     def test_score_filter_idempotent(self, seed, threshold):
         manifest = random_manifest(seed)
-        scorer = lambda e: float(np.random.default_rng(hash(e.id) % 2 ** 32).normal())
-        once, _ = cp.filter_by_score(manifest, scorer, threshold)
-        twice, _ = cp.filter_by_score(once, scorer, threshold)
+        scores = random_scores(manifest)
+        once, _ = cp.filter_by_score(manifest, scores, threshold)
+        twice, _ = cp.filter_by_score(once, scores, threshold)
         assert once.entries == twice.entries
 
 

@@ -1,6 +1,8 @@
 """Objective metrics: bitrate arithmetic, DTW alignment against a path
-enumerator, mel-cepstral distortion, and log-F0 RMSE."""
+enumerator, mel-cepstral distortion, log-F0 RMSE, and the report `duss evaluate`
+builds from them."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -9,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from duss import cli
 from duss import metrics as mt
 from duss.codec import TokenSequence
-from duss.dsp import F0Track, FeatureKind, FeatureMatrix
+from duss.corpus import CorpusManifest, UtteranceEntry, save_manifest
+from duss.dsp import F0Track, FeatureKind, FeatureMatrix, Waveform, write_wav
 from duss.errors import ValidationError
 
-from conftest import FRAME_RATE
+from conftest import FRAME_RATE, SR
 
 
 def make_seq(tokens, vocab_size):
@@ -295,37 +299,61 @@ class TestLogF0Rmse:
             mt.log_f0_rmse(F0Track(np.zeros(0), FRAME_RATE), track)
 
 
+def evaluate_pair(tmp_path, capsys, syn_ids=("a", "b")):
+    """Run `duss evaluate` on two tone utterances against a tone and a silence
+    (no voiced frame) under the given ids; return (exit code, stdout lines,
+    the --out path)."""
+    t = np.arange(int(SR * 0.5)) / SR
+    waves = [0.4 * np.sin(2 * np.pi * 220.0 * t), 0.4 * np.sin(2 * np.pi * 330.0 * t),
+             0.4 * np.sin(2 * np.pi * 250.0 * t), np.zeros_like(t)]
+    for name, x in zip(["ra", "rb", "sa", "sb"], waves):
+        write_wav(str(tmp_path / f"{name}.wav"), Waveform(x, SR))
+    for manifest, ids, stems in (("ref.jsonl", ("a", "b"), ("ra", "rb")),
+                                 ("syn.jsonl", syn_ids, ("sa", "sb"))):
+        save_manifest(CorpusManifest(entries=tuple(
+            UtteranceEntry(id=i, audio_path=f"{stem}.wav", style_tag="read", duration=0.5)
+            for i, stem in zip(ids, stems))), tmp_path / manifest)
+    out = tmp_path / "report.json"
+    rc = cli.main(["evaluate", str(tmp_path / "ref.jsonl"), str(tmp_path / "syn.jsonl"),
+                   "--out", str(out)])
+    return rc, capsys.readouterr().out.splitlines(), out
+
+
 class TestReporting:
-    def _rows(self):
-        return [mt.UtteranceMetrics("a", 4.0, 0.1),
-                mt.UtteranceMetrics("b", 6.0, 0.3, f0_no_overlap=True)]
+    """`duss evaluate` writes the corpus report: per-utterance rows and their means."""
 
-    def test_summarize_means(self):
-        report = mt.summarize(500.0, self._rows())
-        assert report.mcd_db == pytest.approx(5.0)
-        assert report.log_f0_rmse == pytest.approx(0.2)
-        assert report.num_utterances == 2
+    def test_summarize_means(self, tmp_path, capsys):
+        rc, _, out = evaluate_pair(tmp_path, capsys)
+        assert rc == 0
+        report = json.loads(out.read_text())
+        rows = report["per_utterance"]
+        assert report["num_utterances"] == len(rows) == 2
+        assert report["mcd_db"] == float(np.mean([r["mcd_db"] for r in rows])) > 0
+        assert report["log_f0_rmse"] == float(np.mean([r["log_f0_rmse"] for r in rows])) > 0
 
-    def test_json_payload(self):
-        import json
-        report = mt.summarize(500.0, self._rows())
-        payload = json.loads(report.to_json())
-        assert payload["bitrate_bps"] == 500.0
-        assert payload["num_utterances"] == 2
-        assert payload["per_utterance"][1]["f0_no_overlap"] is True
+    def test_json_payload(self, tmp_path, capsys):
+        rc, _, out = evaluate_pair(tmp_path, capsys)
+        assert rc == 0
+        text = out.read_text()
+        report = json.loads(text)
+        assert text == json.dumps(report, indent=2) + "\n"
+        assert list(report) == ["bitrate_bps", "mcd_db", "log_f0_rmse", "num_utterances",
+                                "per_utterance"]
+        assert report["bitrate_bps"] == 0.0
+        a, b = report["per_utterance"]
+        assert list(a) == ["id", "mcd_db", "log_f0_rmse", "f0_no_overlap"]
+        assert (a["id"], a["f0_no_overlap"]) == ("a", False)
+        assert (b["id"], b["log_f0_rmse"], b["f0_no_overlap"]) == ("b", 0.0, True)
 
-    def test_table_column_order(self):
-        report = mt.summarize(500.0, self._rows())
-        header, row = report.to_table().splitlines()
-        assert header.index("Bitrate") < header.index("MCD") < header.index("Log F0")
-        assert "500.00" in row
+    def test_table_column_order(self, tmp_path, capsys):
+        rc, stdout, out = evaluate_pair(tmp_path, capsys)
+        assert rc == 0
+        report = json.loads(out.read_text())
+        assert stdout == [" Bitrate (bps)    MCD (dB)   Log F0 RMSE",
+                          f"{0.0:>14.2f}  {report['mcd_db']:>10.4f}  "
+                          f"{report['log_f0_rmse']:>12.4f}"]
 
-    def test_rejects_negative_values(self):
-        with pytest.raises(ValidationError):
-            mt.MetricReport(bitrate_bps=-1.0, mcd_db=0.0, log_f0_rmse=0.0)
-        with pytest.raises(ValidationError):
-            mt.MetricReport(bitrate_bps=1.0, mcd_db=math.nan, log_f0_rmse=0.0)
-
-    def test_summarize_requires_rows(self):
-        with pytest.raises(ValidationError):
-            mt.summarize(1.0, [])
+    def test_summarize_requires_rows(self, tmp_path, capsys):
+        rc, stdout, out = evaluate_pair(tmp_path, capsys, syn_ids=("x", "y"))
+        assert rc == 1
+        assert stdout == [] and not out.exists()

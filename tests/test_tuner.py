@@ -1,6 +1,7 @@
 """Random-search tuner: parameter draws, scoring, importance decomposition,
-and history serialization."""
+and the JSON-lines history it writes."""
 
+import json
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from duss import tuner as tn
 from duss.codec import Codebook, CodecConfig, RvqCodec, TokenSequence
-from duss.errors import DataError, ValidationError
+from duss.errors import ValidationError
 from duss.sampler import SamplingParams
 
 from conftest import FRAME_RATE
@@ -71,10 +72,18 @@ class TestSearchSpace:
         dict(p_range=(0.0, 1.0)),
         dict(p_range=(0.5, 0.2)),
         dict(temp_range=(0.0, 1.0)),
+        dict(temp_range=(0.1, math.inf)),
+        dict(k_range=(5, 2 ** 63)),
     ])
     def test_invalid_ranges(self, kwargs):
         with pytest.raises(ValidationError):
             tn.SearchSpace(**kwargs)
+
+    def test_widest_k_range_draws(self):
+        """k is drawn as an int64, so the widest range ends at 2**63 - 1."""
+        space = tn.SearchSpace(k_range=(2 ** 63 - 2, 2 ** 63 - 1))
+        params = tn.sample_params(space, np.random.default_rng(0))
+        assert space.contains(params)
 
 
 class TestTune:
@@ -262,16 +271,29 @@ class TestParamImportance:
         assert imp == {"k": 0.0, "p": 0.0, "temperature": 0.0}
 
 
+def history_rows(path):
+    """The rows of a saved history, parsed as plain JSON."""
+    with open(path) as fh:
+        return [json.loads(line) for line in fh]
+
+
+def as_row(trial):
+    return {"index": trial.index, "k": trial.params.k, "p": trial.params.p,
+            "temperature": trial.params.temperature, "score": trial.score,
+            "seed": trial.seed, "flagged": trial.flagged}
+
+
 class TestHistoryIO:
     def test_round_trip(self, tmp_path):
         hist = tn.tune(NARROW_SPACE, SyntheticScorer(), stop_model, 2,
                        n_trials=12, seed=3)
         path = tmp_path / "history.jsonl"
         tn.save_history_jsonl(hist, path)
-        loaded = tn.load_history_jsonl(path)
-        assert loaded.best == hist.best
-        for a, b in zip(hist.trials, loaded.trials):
-            assert a == b
+        rows = history_rows(path)
+        assert rows == [as_row(t) for t in hist.trials]
+        assert all(list(row) == list(as_row(hist.trials[0])) for row in rows)
+        scores = [row["score"] for row in rows]
+        assert scores.index(max(scores)) == hist.best
 
     def test_flagged_round_trip(self, tmp_path):
         class Poison:
@@ -282,39 +304,8 @@ class TestHistoryIO:
                        n_trials=2, seed=0)
         path = tmp_path / "history.jsonl"
         tn.save_history_jsonl(hist, path)
-        loaded = tn.load_history_jsonl(path)
-        assert loaded.trials[0].flagged
-        assert loaded.trials[0].score == -math.inf
-
-    def test_bad_record_names_line(self, tmp_path):
-        path = tmp_path / "history.jsonl"
-        path.write_text('{"index": 0, "k": 5}\n')
-        with pytest.raises(DataError, match="line 1"):
-            tn.load_history_jsonl(path)
-
-    @pytest.mark.parametrize("row", [
-        '[0, 5, 0.5, 1.0]',
-        '{"index": 0, "k": "a", "p": 0.5, "temperature": 1.0, "score": 0.0, "seed": 0}',
-        '{"index": 0, "k": 0, "p": 0.5, "temperature": 1.0, "score": 0.0, "seed": 0}',
-        '{"index": 0, "k": 5, "p": 0.5, "temperature": 1.0, "score": "x", "seed": 0}',
-        '{"index": 0, "k": 5, "p": 0.5, "temperature": 1.0, "score": null, "seed": 0}',
-        '{"index": 0, "k": 5, "p": 0.5, "temperature": 1.0, "score": [1], "seed": 0}',
-        '{"index": 0, "k": 5, "p": 0.5, "temperature": 1.0, "score": true, "seed": 0}',
-        '{"index": 0, "k": 5, "p": 0.5, "temperature": 1.0, "score": NaN, "seed": 0}',
-        '{"index": 0, "k": 5.5, "p": 0.5, "temperature": 1.0, "score": 0.0, "seed": 0}',
-        '{"index": 0, "k": 5, "p": 0.5, "temperature": 1.0, "score": 0.0, "seed": 0, '
-        '"flagged": 1}',
-    ])
-    def test_malformed_row_is_data_error(self, tmp_path, row):
-        path = tmp_path / "history.jsonl"
-        path.write_text(row + "\n")
-        with pytest.raises(DataError, match="line 1"):
-            tn.load_history_jsonl(path)
-
-    def test_blank_lines_skipped(self, tmp_path):
-        hist = tn.tune(tn.SearchSpace(), ConstantScorer(), stop_model, 1,
-                       n_trials=2, seed=0)
-        path = tmp_path / "history.jsonl"
-        tn.save_history_jsonl(hist, path)
-        path.write_text(path.read_text() + "\n\n")
-        assert len(tn.load_history_jsonl(path).trials) == 2
+        assert '"score": -Infinity' in path.read_text().splitlines()[0]
+        rows = history_rows(path)
+        assert rows == [as_row(t) for t in hist.trials]
+        assert rows[0]["flagged"] is True
+        assert rows[0]["score"] == -math.inf
