@@ -407,6 +407,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_corpus_filter(args) -> int:
+    if args.min_score is not None and not args.scores:
+        raise ValidationError("--min-score requires --scores CSV")
+    if args.min_score is None and (args.scores or args.style_scores_out):
+        raise ValidationError("--scores and --style-scores-out require --min-score")
     manifest = _load_manifest_diag(args.manifest)
     excluded = set(args.exclude_styles.split(",")) - {""} if args.exclude_styles else set()
     filtered, removed = corpus.filter_styles(manifest, excluded)
@@ -414,8 +418,6 @@ def cmd_corpus_filter(args) -> int:
         print(f"excluded style {tag!r}: removed {count}")
 
     if args.min_score is not None:
-        if not args.scores:
-            raise ValidationError("--min-score requires --scores CSV")
         table = _read_score_csv(args.scores)
         for entry in filtered.entries:
             if entry.id not in table:
@@ -434,7 +436,7 @@ def cmd_corpus_filter(args) -> int:
 
 def _read_score_csv(path) -> Dict[str, float]:
     """Two-column CSV id,score with an optional header row; scores must be finite."""
-    table = {}
+    table, seen = {}, {}
     for line_no, line in enumerate(read_lines(path, "scores file"), start=1):
         line = line.strip()
         if not line:
@@ -450,7 +452,10 @@ def _read_score_csv(path) -> Dict[str, float]:
                 raise ValueError
         except ValueError:
             raise DataError(f"{path}:{line_no}: bad score {parts[1]!r}")
-        table[parts[0].strip()] = score
+        utt_id = parts[0].strip()
+        if utt_id in seen:
+            raise DataError(f"{path}:{line_no}: id {utt_id!r} repeats line {seen[utt_id]}")
+        table[utt_id], seen[utt_id] = score, line_no
     return table
 
 

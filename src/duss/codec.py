@@ -135,7 +135,8 @@ def kmeans_pp_init(frames: np.ndarray, k: int, rng: np.random.Generator) -> np.n
         if total <= 0:
             idx = int(rng.integers(n))
         else:
-            idx = int(rng.choice(n, p=d2 / total))
+            cdf = (d2 / total).cumsum()  # rng.choice(n, p=d2 / total) without its check of p
+            idx = int((cdf / cdf[-1]).searchsorted(rng.random(), side="right"))
         centers[j] = frames[idx]
         d2 = np.minimum(d2, np.sum((frames - centers[j]) ** 2, axis=1))
     return centers

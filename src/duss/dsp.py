@@ -7,6 +7,7 @@ for identical inputs and configuration.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -201,20 +202,25 @@ def stft(w: Waveform, frame_len: int = DEFAULT_FRAME_LEN, hop: int = DEFAULT_HOP
     return np.fft.rfft(_frames(padded, frame_len, hop, num_frames) * win, axis=1)
 
 
-def _overlap_add(spec: np.ndarray, frame_len: int, hop: int, win: np.ndarray) -> np.ndarray:
+def _overlap_add(spec: np.ndarray, frame_len: int, hop: int, win: np.ndarray,
+                 norm: Optional[np.ndarray] = None) -> np.ndarray:
     """Least-squares overlap-add inverse of `stft`'s framing, in its padded
     domain, plus one hop of zeros after the last frame so that the centred
-    T * hop samples from frame_len // 2 on always exist."""
-    frames = np.fft.irfft(spec, n=frame_len, axis=1)
-    total = len(spec) * hop + frame_len
-    out = np.zeros(total)
-    norm = np.zeros(total)
-    win_sq = win * win
-    for t in range(len(spec)):
-        start = t * hop
-        out[start:start + frame_len] += frames[t] * win
-        norm[start:start + frame_len] += win_sq
-    return out / np.maximum(norm, 1e-12)
+    T * hop samples from frame_len // 2 on always exist. `norm` is
+    `_ola_norm(len(spec), hop, win)`; a caller in a loop builds it once."""
+    frames = np.fft.irfft(spec, n=frame_len, axis=1) * win
+    out = np.zeros(len(spec) * hop + frame_len)
+    for t, frame in enumerate(frames):
+        out[t * hop:t * hop + frame_len] += frame
+    return out / (_ola_norm(len(spec), hop, win) if norm is None else norm)
+
+
+def _ola_norm(num_frames: int, hop: int, win: np.ndarray) -> np.ndarray:
+    """The overlap-added squared window that `_overlap_add` divides by, floored at 1e-12."""
+    norm = np.zeros(num_frames * hop + len(win))
+    for t in range(num_frames):
+        norm[t * hop:t * hop + len(win)] += win * win
+    return np.maximum(norm, 1e-12)
 
 
 def hz_to_mel(f):
@@ -245,6 +251,14 @@ def mel_filterbank(sample_rate: int, n_fft: int, n_mels: int, fmin: float,
     up = (freqs - lo) / np.maximum(center - lo, 1e-12)
     down = (hi - freqs) / np.maximum(hi - center, 1e-12)
     return np.clip(np.minimum(up, down, out=up), 0.0, None, out=up)
+
+
+@functools.lru_cache(maxsize=8)
+def _mel_inverse(sample_rate, n_fft, n_mels, fmin, fmax) -> np.ndarray:
+    """Read-only pinv(mel_filterbank(...)).T: least-squares map from mel to linear power."""
+    inv = np.linalg.pinv(mel_filterbank(sample_rate, n_fft, n_mels, fmin, fmax)).T
+    inv.flags.writeable = False
+    return inv
 
 
 def analyze(w: Waveform, cfg: AnalysisConfig) -> FeatureMatrix:
@@ -340,36 +354,29 @@ def _pick_f0(cmndf: np.ndarray, tau_min: int, tau_max: int, threshold: float,
     return f0
 
 
-def spectral_convergence(est_mag: np.ndarray, target_mag: np.ndarray) -> float:
-    """Relative Frobenius distance between magnitude spectrograms."""
-    denom = np.linalg.norm(target_mag)
-    if denom == 0:
-        return float(np.linalg.norm(est_mag))
-    return float(np.linalg.norm(est_mag - target_mag) / denom)
-
-
 def griffin_lim(mel: FeatureMatrix, cfg: AnalysisConfig,
                 iterations: int = DEFAULT_GL_ITERATIONS,
                 return_errors: bool = False):
     """Reconstruct a waveform from log-mel features by iterative phase estimation.
 
-    The mel filterbank is pseudo-inverted to linear magnitudes, then the
-    classic alternating projection runs with zero initial phase. The
-    analysis/synthesis pair used inside the loop is adjoint-consistent, so
-    the spectral-convergence error is non-increasing across iterations.
-    Output length is T * hop.
+    The mel filterbank's cached pseudo-inverse gives linear magnitudes, then
+    the classic alternating projection runs with zero initial phase, taking
+    the phase of each re-analysed spectrum X as X / |X| (1 where |X| = 0).
+    The analysis/synthesis pair used inside the loop is adjoint-consistent, so
+    the spectral convergence is non-increasing. Output length is T * hop.
 
-    With return_errors=True, returns (waveform, errors) where errors[i] is
-    the spectral convergence after iteration i.
+    With return_errors=True, returns (waveform, errors) where errors[i] is the
+    spectral convergence norm(|X| - target) / norm(target), or norm(|X|) for
+    an all-zero target, after iteration i; it is only computed then.
     """
     if iterations < 1:
         raise ValidationError(f"iterations must be >= 1, got {iterations}")
     _check_hop(cfg.frame_len, cfg.hop)
     if mel.kind not in (FeatureKind.MEL_SPECTROGRAM, FeatureKind.DECODED):
         raise ValidationError(f"griffin_lim expects log-mel input, got kind {mel.kind.name}")
-    fb = mel_filterbank(cfg.sample_rate, cfg.frame_len, mel.dim, cfg.fmin, cfg.resolved_fmax())
+    inv = _mel_inverse(cfg.sample_rate, cfg.frame_len, mel.dim, cfg.fmin, cfg.resolved_fmax())
     # least-squares inversion of the filterbank to linear power, clipped at zero
-    target_mag = np.sqrt(np.clip(np.exp(mel.data) @ np.linalg.pinv(fb).T, 0.0, None))
+    target_mag = np.sqrt(np.clip(np.exp(mel.data) @ inv, 0.0, None))
 
     num_frames = mel.num_frames
     errors = []
@@ -378,15 +385,19 @@ def griffin_lim(mel: FeatureMatrix, cfg: AnalysisConfig,
         return (wav, np.array(errors)) if return_errors else wav
 
     win = _get_window(cfg.window, cfg.frame_len)
+    norm, target_norm = _ola_norm(num_frames, cfg.hop, win), np.linalg.norm(target_mag)
     spec = target_mag.astype(np.complex128)  # zero initial phase
     for _ in range(iterations):
-        y = _overlap_add(spec, cfg.frame_len, cfg.hop, win)
+        y = _overlap_add(spec, cfg.frame_len, cfg.hop, win, norm)
         reanalyzed = np.fft.rfft(_frames(y, cfg.frame_len, cfg.hop, num_frames) * win, axis=1)
-        errors.append(spectral_convergence(np.abs(reanalyzed), target_mag))
-        spec = target_mag * np.exp(1j * np.angle(reanalyzed))
+        mag = np.abs(reanalyzed)
+        if return_errors:
+            errors.append(float(np.linalg.norm(mag - target_mag) / (target_norm or 1.0)))
+        spec = target_mag * np.divide(reanalyzed, mag, out=np.ones_like(reanalyzed),
+                                      where=mag > 0)
     left = cfg.frame_len // 2  # undo stft's centering
-    samples = _overlap_add(spec, cfg.frame_len, cfg.hop, win)[left:left + num_frames * cfg.hop]
-    wav = Waveform(samples, cfg.sample_rate)
+    y = _overlap_add(spec, cfg.frame_len, cfg.hop, win, norm)
+    wav = Waveform(y[left:left + num_frames * cfg.hop], cfg.sample_rate)
     return (wav, np.array(errors)) if return_errors else wav
 
 

@@ -650,6 +650,34 @@ class TestCorpusFilter:
         assert json.loads(lines[0])["message"] == f"{scores}:3: bad score '{score}'"
         assert not out.exists() and not dist.exists()
 
+    def test_repeated_score_id_is_data_error(self, workspace, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("id,score\nutt_000,1.0\nutt_001,2.0\nutt_000,-3.0\n")
+        out, dist = tmp_path / "kept.jsonl", tmp_path / "style_scores.csv"
+        rc = cli.main(["corpus-filter", workspace["manifest"], "--out", str(out),
+                       "--min-score", "0.0", "--scores", str(scores),
+                       "--style-scores-out", str(dist)])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["message"] == f"{scores}:4: id 'utt_000' repeats line 2"
+        assert not out.exists() and not dist.exists()
+
+    @pytest.mark.parametrize("flags", [["--scores", "s.csv"], ["--style-scores-out", "d.csv"],
+                                       ["--scores", "s.csv", "--style-scores-out", "d.csv"]],
+                             ids=["scores", "style-scores-out", "both"])
+    def test_score_flags_require_min_score(self, workspace, tmp_path, capsys, flags):
+        out = tmp_path / "kept.jsonl"
+        rc = cli.main(["corpus-filter", workspace["manifest"], "--out", str(out)]
+                      + [str(tmp_path / f) if f.endswith(".csv") else f for f in flags])
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "event": "error", "kind": "validation",
+            "message": "--scores and --style-scores-out require --min-score"}
+        assert not out.exists() and not (tmp_path / "d.csv").exists()
+
     def test_missing_audio_warns(self, workspace, tmp_path, capsys):
         manifest = with_missing_audio(workspace, tmp_path)
         out = tmp_path / "kept.jsonl"

@@ -1,13 +1,15 @@
 """Independent oracles for the hot paths: a per-band mel filterbank and a
-per-frame log-mel analysis, a plain DP for the DTW, brute-force nearest codes
-for encoding, a dict-counted n-gram table, and the top-k ∩ nucleus candidate
-set for every drawn token. Faster rewrites of these paths must keep these
-properties."""
+per-frame log-mel analysis, the exp/angle Griffin-Lim loop, a plain DP for the
+DTW, brute-force nearest codes for encoding, a dict-counted n-gram table, and
+the top-k ∩ nucleus candidate set for every drawn token. Faster rewrites of
+these paths must keep these properties."""
 
 from collections import Counter, defaultdict
+from fractions import Fraction
 
 import numpy as np
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import signal as sps
@@ -73,6 +75,91 @@ def test_analyze_matches_per_frame_reference(rate, frame_len, hop_share, n_mels,
     fb = loop_filterbank(rate, frame_len, n_mels, 0.0, rate / 2)
     want = np.log(np.maximum(np.abs(spec) ** 2 @ fb.T, dsp.LOG_EPS))
     np.testing.assert_array_equal(dsp.analyze(dsp.Waveform(x, rate), cfg).data, want)
+
+
+def reference_griffin_lim(mel, cfg, iterations):
+    """Griffin-Lim as first written: pinv of the filterbank on every call, the
+    overlap-add normaliser rebuilt on every inversion, each frame re-analysed
+    on its own, and the phase projected with exp(1j * angle(X)).
+
+    Also returns how much the loop can grow a rounding difference: a change
+    of one ulp in a bin X turns its phase by up to eps * target / |X|, so each
+    iteration multiplies what came before by up to max(target / |X|)."""
+    frame_len, hop, num_frames = cfg.frame_len, cfg.hop, len(mel)
+    fb = loop_filterbank(cfg.sample_rate, frame_len, mel.shape[1], cfg.fmin,
+                         cfg.resolved_fmax())
+    target = np.sqrt(np.clip(np.exp(mel) @ np.linalg.pinv(fb).T, 0.0, None))
+    win = (np.ones(frame_len) if cfg.window == "rectangular"
+           else sps.get_window(cfg.window, frame_len, fftbins=True))
+
+    def overlap_add(spec):
+        frames = np.fft.irfft(spec, n=frame_len, axis=1)
+        out, norm = np.zeros((2, num_frames * hop + frame_len))
+        for t in range(num_frames):
+            out[t * hop:t * hop + frame_len] += frames[t] * win
+            norm[t * hop:t * hop + frame_len] += win * win
+        return out / np.maximum(norm, 1e-12)
+
+    spec, errors, growth = target.astype(np.complex128), [], 1.0
+    for _ in range(iterations):
+        y = overlap_add(spec)
+        x = np.array([np.fft.rfft(y[t * hop:t * hop + frame_len] * win)
+                      for t in range(num_frames)])
+        mag = np.abs(x)
+        errors.append(np.linalg.norm(mag - target) / (np.linalg.norm(target) or 1.0))
+        growth *= max(1.0, np.divide(target, mag, out=np.zeros_like(mag), where=mag > 0).max())
+        spec = target * np.exp(1j * np.angle(x))
+    left = frame_len // 2
+    return overlap_add(spec)[left:left + num_frames * hop], np.array(errors), growth
+
+
+@st.composite
+def log_mel_inputs(draw):
+    """Small analysis settings and log-mel frames, some of them silent at the
+    log floor or at zero power (exp underflows), and fmin above 0 so that the
+    lowest bins get no filter and hence zero target magnitude."""
+    rate = draw(st.sampled_from([8000, 16000]))
+    frame_len = draw(st.integers(16, 256))
+    cfg = dsp.AnalysisConfig(sample_rate=rate, frame_len=frame_len,
+                             hop=draw(st.integers(1, frame_len)),
+                             window=draw(st.sampled_from(["hann", "hamming", "rectangular"])),
+                             n_mels=draw(st.integers(1, 12)),
+                             fmin=draw(st.sampled_from([0.0, 0.05 * rate])))
+    data = draw(hnp.arrays(np.float64, (draw(st.integers(1, 8)), cfg.n_mels),
+                           elements=st.floats(-6.0, 2.0)))
+    silent = draw(st.lists(st.booleans(), min_size=len(data), max_size=len(data)))
+    data[np.array(silent)] = draw(st.sampled_from([np.log(dsp.LOG_EPS), -1000.0]))
+    return FeatureMatrix(data, cfg.frame_rate, FeatureKind.MEL_SPECTROGRAM), cfg
+
+
+ZERO_POWER = (FeatureMatrix(np.full((3, 4), -1000.0), Fraction(16000, 64),
+                            FeatureKind.MEL_SPECTROGRAM),
+              dsp.AnalysisConfig(frame_len=128, hop=64, n_mels=4))
+
+
+@given(log_mel_inputs(), st.integers(1, 8))
+@example(ZERO_POWER, 3)  # every |X| is 0, so every phase is the fallback 1
+@settings(max_examples=200, deadline=None)
+def test_griffin_lim_matches_exp_angle_reference(case, iterations):
+    """The X / |X| projection, cached filterbank inverse and once-built
+    normaliser give the reference's samples and error sequence to 1e-9; the
+    cached inverse is read-only and a second call gives the same bytes."""
+    mel, cfg = case
+    wave, errors = dsp.griffin_lim(mel, cfg, iterations, return_errors=True)
+    assert dsp.griffin_lim(mel, cfg, iterations).samples.tobytes() == wave.samples.tobytes()
+    key = (cfg.sample_rate, cfg.frame_len, mel.dim, cfg.fmin, cfg.resolved_fmax())
+    inv = dsp._mel_inverse(*key)
+    np.testing.assert_array_equal(inv, np.linalg.pinv(loop_filterbank(*key)).T)
+    with pytest.raises(ValueError, match="read-only"):
+        inv[0, 0] = 1.0
+
+    want_samples, want_errors, growth = reference_griffin_lim(mel.data, cfg, iterations)
+    # Beyond this, bins with |X| near 0 make the two roundings of one phase
+    # diverge (hop 4, frame_len 112: 1e-2 apart after 6 iterations), and
+    # neither loop is the more accurate one.
+    assume(growth <= 1e6)
+    np.testing.assert_allclose(wave.samples, want_samples, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(errors, want_errors, rtol=0, atol=1e-9)
 
 
 def plain_dtw(local):
