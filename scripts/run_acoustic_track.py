@@ -28,7 +28,7 @@ def sweep(args) -> int:
     configs = [cli.build_pipeline_config(argparse.Namespace(**vars(args), preset=name), seed)
                for name in ACOUSTIC_PRESETS]
     # Presets differ only in codec and sampling settings: one codec and LM per codec config.
-    _, mels, _ = cli.split_features(args.manifest, configs[0].analysis)
+    _, mels, _ = cli.split_features(args.manifest, configs[0].codec.analysis)
     trained = {}
     for cfg in configs:
         if cfg.codec not in trained:

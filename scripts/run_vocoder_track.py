@@ -31,7 +31,7 @@ def parse_sizes(text: str):
 def sweep(args) -> int:
     seed = cli.resolve_seed(args)
     cfg = cli.build_pipeline_config(args, seed)
-    entries, mels, durations = cli.split_features(args.manifest, cfg.analysis,
+    entries, mels, durations = cli.split_features(args.manifest, cfg.codec.analysis,
                                                   train_only=False)
     train_mels = [mel for entry, mel in zip(entries, mels) if entry.split == "train"]
     if not train_mels:

@@ -39,11 +39,10 @@ PRESETS = {
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Resolved settings shared by every subcommand."""
+    """Resolved settings shared by the subcommands that read settings."""
 
     codec: CodecConfig
     sampling: sampler.SamplingParams
-    analysis: dsp.AnalysisConfig
     order: int = toylm.DEFAULT_ORDER
     alpha: float = toylm.DEFAULT_ALPHA
     n_trials: int = 300
@@ -56,9 +55,9 @@ class PipelineConfig:
             raise ValidationError("order must be >= 1 and alpha > 0")
         if self.n_trials < 1 or self.max_len < 1 or self.gl_iterations < 1:
             raise ValidationError("n_trials, max_len and gl_iterations must be >= 1")
-        if not (1 <= self.n_coeffs <= self.analysis.n_mels):
+        if not (1 <= self.n_coeffs <= self.codec.feature_dim):
             raise ValidationError(
-                f"n_coeffs must be in [1, {self.analysis.n_mels}], got {self.n_coeffs}")
+                f"n_coeffs must be in [1, {self.codec.feature_dim}], got {self.n_coeffs}")
 
 
 _SETTINGS_CLASSES = (CodecConfig, dsp.AnalysisConfig, sampler.SamplingParams, PipelineConfig)
@@ -128,8 +127,7 @@ def build_pipeline_config(args, seed: int = 0) -> PipelineConfig:
     v = resolve_settings(args)
     return _fill(PipelineConfig, v,
                  codec=_fill(CodecConfig, v, feature_dim=v["n_mels"], seed=seed),
-                 sampling=_fill(sampler.SamplingParams, v),
-                 analysis=_fill(dsp.AnalysisConfig, v))
+                 sampling=_fill(sampler.SamplingParams, v))
 
 
 def resolve_seed(args) -> int:
@@ -145,12 +143,6 @@ def resolve_seed(args) -> int:
     return 0
 
 
-def _audio_path(base_dir: str, entry: corpus.UtteranceEntry) -> str:
-    if os.path.isabs(entry.audio_path):
-        return entry.audio_path
-    return os.path.join(base_dir, entry.audio_path)
-
-
 def _load_manifest_diag(path) -> corpus.CorpusManifest:
     """Load a manifest, warning once per audio file that does not exist."""
     manifest = corpus.load_manifest(path)
@@ -159,21 +151,10 @@ def _load_manifest_diag(path) -> corpus.CorpusManifest:
     return manifest
 
 
-def _analysis_for_codec(codec: RvqCodec, cfg: PipelineConfig) -> dsp.AnalysisConfig:
-    """Analysis settings matching a loaded codec (hop, rate, bands from the
-    codec; frame length and window from the resolved config)."""
-    return dsp.AnalysisConfig(
-        sample_rate=codec.config.sample_rate, frame_len=cfg.analysis.frame_len,
-        hop=codec.config.hop, window=cfg.analysis.window,
-        n_mels=codec.config.feature_dim)
-
-
-def _read_at_rate(path: str, sample_rate: int) -> dsp.Waveform:
-    return dsp.resample(dsp.read_wav(path), sample_rate)
-
-
-def _features_for_entry(path: str, analysis: dsp.AnalysisConfig) -> dsp.FeatureMatrix:
-    return dsp.analyze(_read_at_rate(path, analysis.sample_rate), analysis)
+def _analyze_wav(path: str, analysis: dsp.AnalysisConfig) -> tuple:
+    """A WAV file resampled to the analysis rate, and its features."""
+    wave = dsp.resample(dsp.read_wav(path), analysis.sample_rate)
+    return wave, dsp.analyze(wave, analysis)
 
 
 def split_features(manifest_path, analysis: dsp.AnalysisConfig, exclude_styles=None,
@@ -193,17 +174,16 @@ def split_features(manifest_path, analysis: dsp.AnalysisConfig, exclude_styles=N
                               "left after filtering")
     features, durations = [], []
     for entry in kept.entries:
-        wave = _read_at_rate(_audio_path(base, entry), analysis.sample_rate)
-        features.append(dsp.analyze(wave, analysis))
+        wave, feats = _analyze_wav(os.path.join(base, entry.audio_path), analysis)
+        features.append(feats)
         durations.append(len(wave) / wave.sample_rate)
     return kept.entries, features, durations
 
 
 def _cepstrum_and_f0(path: str, cfg: PipelineConfig) -> tuple:
     """Mel cepstrum and F0 track of one WAV, read and resampled once."""
-    wave = _read_at_rate(path, cfg.analysis.sample_rate)
-    cep = dsp.mel_cepstrum(dsp.analyze(wave, cfg.analysis), cfg.n_coeffs)
-    return cep, dsp.estimate_f0(wave, hop=cfg.analysis.hop)
+    wave, mel = _analyze_wav(path, cfg.codec.analysis)
+    return dsp.mel_cepstrum(mel, cfg.n_coeffs), dsp.estimate_f0(wave, hop=cfg.codec.hop)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +192,7 @@ def _cepstrum_and_f0(path: str, cfg: PipelineConfig) -> tuple:
 
 def cmd_train_codec(args) -> int:
     cfg = build_pipeline_config(args, resolve_seed(args))
-    entries, features, _ = split_features(args.manifest, cfg.analysis,
+    entries, features, _ = split_features(args.manifest, cfg.codec.analysis,
                                           exclude_styles=args.exclude_styles)
     codec = train_codebooks(features, cfg.codec)
     containers.save_codec(args.out, codec)
@@ -225,11 +205,8 @@ def cmd_train_codec(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    cfg = build_pipeline_config(args)
     codec = containers.load_codec(args.codec)
-    analysis = _analysis_for_codec(codec, cfg)
-    feats = _features_for_entry(args.audio, analysis)
-    seq = codec_encode(codec, feats)
+    seq = codec_encode(codec, _analyze_wav(args.audio, codec.config.analysis)[1])
     containers.save_tokens(args.out, seq)
     print(f"encoded {seq.num_frames} frames x {seq.num_stages} stages "
           f"(V={seq.vocab_size})")
@@ -242,7 +219,7 @@ def cmd_decode(args) -> int:
     cfg = build_pipeline_config(args)
     codec = containers.load_codec(args.codec)
     seq = containers.load_tokens(args.tokens)
-    analysis = _analysis_for_codec(codec, cfg)
+    analysis = codec.config.analysis
 
     decoded = codec_decode(codec, seq)
     if args.features_out:
@@ -252,10 +229,8 @@ def cmd_decode(args) -> int:
     print(f"decoded {decoded.num_frames} frames -> {len(wave)} samples")
 
     if args.reference:
-        ref_feats = _features_for_entry(args.reference, analysis)
-        ref_cep = dsp.mel_cepstrum(ref_feats, cfg.n_coeffs)
-        syn_cep = dsp.mel_cepstrum(decoded, cfg.n_coeffs)
-        value = metrics.mcd(ref_cep, syn_cep)
+        ref_cep = dsp.mel_cepstrum(_analyze_wav(args.reference, analysis)[1], cfg.n_coeffs)
+        value = metrics.mcd(ref_cep, dsp.mel_cepstrum(decoded, cfg.n_coeffs))
         print(f"mcd_db: {value:.4f}")
     _diag("wav_written", path=args.out, samples=len(wave))
     return 0
@@ -313,7 +288,6 @@ def cmd_generate(args) -> int:
     model = containers.load_ngram(args.lm)
     codec = containers.load_codec(args.codec)
     _check_lm_codec(model, codec)
-    analysis = _analysis_for_codec(codec, cfg)
     frame_rate = codec.config.frame_rate
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -326,7 +300,7 @@ def cmd_generate(args) -> int:
         sequences.append(seq)
         stem = os.path.join(args.out_dir, f"gen_{i:03d}")
         containers.save_tokens(stem + ".dust", seq)
-        wave = dsp.griffin_lim(decode_partial(codec, seq), analysis,
+        wave = dsp.griffin_lim(decode_partial(codec, seq), codec.config.analysis,
                                iterations=cfg.gl_iterations)
         dsp.write_wav(stem + ".wav", wave)
         print(f"gen_{i:03d}: frames={seq.num_frames} natural={result.natural}")
@@ -371,8 +345,8 @@ def cmd_evaluate(args) -> int:
 
     rows = []
     for ref_entry, syn_entry in pairs:
-        ref_cep, ref_f0 = _cepstrum_and_f0(_audio_path(ref_base, ref_entry), cfg)
-        syn_cep, syn_f0 = _cepstrum_and_f0(_audio_path(syn_base, syn_entry), cfg)
+        ref_cep, ref_f0 = _cepstrum_and_f0(os.path.join(ref_base, ref_entry.audio_path), cfg)
+        syn_cep, syn_f0 = _cepstrum_and_f0(os.path.join(syn_base, syn_entry.audio_path), cfg)
         mcd_db = metrics.mcd(ref_cep, syn_cep)
         f0_result = metrics.log_f0_rmse(ref_f0, syn_f0)
         if f0_result.no_overlap:
@@ -484,9 +458,10 @@ def _add_seed(parser: argparse.ArgumentParser) -> None:
                         help="global seed (falls back to DUSS_SEED, then 0)")
 
 
-def _add_common(parser: argparse.ArgumentParser, seed: bool = False,
-                preset: bool = False) -> None:
-    """--config, plus --seed and --preset for the commands that read them."""
+def _add_settings(parser: argparse.ArgumentParser, keys, seed: bool = False,
+                  preset: bool = False) -> None:
+    """--config and an override flag per settings key the command reads, plus
+    --seed and --preset for the commands that read them."""
     if seed:
         _add_seed(parser)
     parser.add_argument("--config", default=None,
@@ -494,6 +469,7 @@ def _add_common(parser: argparse.ArgumentParser, seed: bool = False,
     if preset:
         parser.add_argument("--preset", default=None,
                             help=f"named configuration: {', '.join(sorted(PRESETS))}")
+    _add_overrides(parser, keys)
 
 
 def _add_overrides(parser: argparse.ArgumentParser, keys) -> None:
@@ -507,22 +483,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="duss", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train-codec", parents=[], help="fit the quantizer on a manifest")
+    p = sub.add_parser("train-codec", help="fit the quantizer on a manifest")
     p.add_argument("manifest")
     p.add_argument("--out", required=True, help="output codec file")
     p.add_argument("--exclude-styles", default=None,
                    help="comma-separated style tags to drop")
-    _add_common(p, seed=True, preset=True)
-    _add_overrides(p, ["codebook_size", "num_quantizers", "hop", "sample_rate",
-                       "frame_len", "n_mels", "window", "kmeans_iters"])
+    _add_settings(p, ["codebook_size", "num_quantizers", "hop", "sample_rate", "frame_len",
+                      "n_mels", "window", "kmeans_iters"], seed=True, preset=True)
     p.set_defaults(func=cmd_train_codec)
 
     p = sub.add_parser("encode", help="audio to token file")
     p.add_argument("codec")
     p.add_argument("audio")
     p.add_argument("--out", required=True)
-    _add_common(p)
-    _add_overrides(p, ["frame_len", "window"])
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help="token file to WAV")
@@ -533,15 +506,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reference WAV; prints round-trip MCD when given")
     p.add_argument("--features-out", default=None,
                    help="also write the decoded feature matrix")
-    _add_common(p)
-    _add_overrides(p, ["frame_len", "window", "gl_iterations", "n_coeffs"])
+    _add_settings(p, ["gl_iterations", "n_coeffs"])
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("train-lm", help="fit the token model on token files")
     p.add_argument("tokens", nargs="+")
     p.add_argument("--out", required=True)
-    _add_common(p)
-    _add_overrides(p, ["order", "alpha"])
+    _add_settings(p, ["order", "alpha"])
     p.set_defaults(func=cmd_train_lm)
 
     p = sub.add_parser("generate", help="sample token sequences and decode them")
@@ -549,9 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("codec")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--count", type=positive_int, default=1)
-    _add_common(p, seed=True, preset=True)
-    _add_overrides(p, ["k", "p", "temperature", "max_len", "frame_len", "window",
-                       "gl_iterations"])
+    _add_settings(p, ["k", "p", "temperature", "max_len", "gl_iterations"], seed=True,
+                  preset=True)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("tune", help="random-search the sampling parameters")
@@ -568,8 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dev-count", type=positive_int, default=tuner.DEFAULT_DEV_COUNT,
                    help="generations scored per trial")
     p.add_argument("--importance-bins", type=positive_int, default=tuner.DEFAULT_IMPORTANCE_BINS)
-    _add_common(p, seed=True)
-    _add_overrides(p, ["n_trials", "max_len"])
+    _add_settings(p, ["n_trials", "max_len"], seed=True)
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("evaluate", help="metric report for reference vs synthesized")
@@ -580,8 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="codec file; reports its nominal bitrate")
     p.add_argument("--tokens", nargs="*", default=None,
                    help="token files; reports their measured bitrate")
-    _add_common(p)
-    _add_overrides(p, ["frame_len", "window", "n_coeffs", "n_mels"])
+    _add_settings(p, ["frame_len", "window", "n_coeffs", "n_mels"])
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("corpus-filter", help="style and score based selection")

@@ -9,20 +9,22 @@ from typing import List
 
 import numpy as np
 
-from .dsp import (DEFAULT_HOP, DEFAULT_N_MELS, DEFAULT_SAMPLE_RATE, FeatureKind,
-                  FeatureMatrix)
+from .dsp import (DEFAULT_FRAME_LEN, DEFAULT_HOP, DEFAULT_N_MELS, DEFAULT_SAMPLE_RATE,
+                  DEFAULT_WINDOW, WINDOW_NAMES, AnalysisConfig, FeatureKind, FeatureMatrix)
 from .errors import ValidationError
 
 
 @dataclass(frozen=True)
 class CodecConfig:
-    """Quantizer configuration: codebook shape, frame timing and the k-means
-    iteration budget."""
+    """Quantizer configuration: codebook shape, the k-means iteration budget
+    and the `analysis` its features come from, with feature_dim mel bands."""
 
     codebook_size: int = 1024
     num_quantizers: int = 2
     hop: int = DEFAULT_HOP
     sample_rate: int = DEFAULT_SAMPLE_RATE
+    frame_len: int = DEFAULT_FRAME_LEN
+    window: str = DEFAULT_WINDOW
     feature_dim: int = DEFAULT_N_MELS
     kmeans_iters: int = 50
     seed: int = 0
@@ -32,14 +34,22 @@ class CodecConfig:
             raise ValidationError(f"codebook_size must be >= 2, got {self.codebook_size}")
         if self.num_quantizers < 1:
             raise ValidationError(f"num_quantizers must be >= 1, got {self.num_quantizers}")
-        if self.hop < 1 or self.sample_rate < 1 or self.feature_dim < 1:
-            raise ValidationError("hop, sample_rate, and feature_dim must be positive")
+        if not 1 <= self.hop <= self.frame_len or self.sample_rate < 1 or self.feature_dim < 1:
+            raise ValidationError("need 1 <= hop <= frame_len and positive sample_rate and "
+                                  f"feature_dim, got hop={self.hop}, frame_len={self.frame_len}")
+        if self.window not in WINDOW_NAMES:
+            raise ValidationError(f"unknown window {self.window!r}, expected one of {WINDOW_NAMES}")
         if self.kmeans_iters < 1:
             raise ValidationError(f"kmeans_iters must be >= 1, got {self.kmeans_iters}")
 
     @property
     def frame_rate(self) -> Fraction:
         return Fraction(self.sample_rate, self.hop)
+
+    @property
+    def analysis(self) -> AnalysisConfig:
+        return AnalysisConfig(sample_rate=self.sample_rate, frame_len=self.frame_len,
+                              hop=self.hop, window=self.window, n_mels=self.feature_dim)
 
 
 @dataclass

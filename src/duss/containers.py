@@ -5,11 +5,12 @@ Two formats:
 * "DUSS": u32 version, u32 kind, u64 T, u64 D, frame rate as two u64
   (numerator, denominator), then a kind-specific payload. Kinds 1..3 are
   feature matrices (row-major T x D f64), 5 is a trained codec, 6 is an
-  n-gram model.
+  n-gram model. A codec's fixed block holds its whole config, analysis
+  included: the window is stored as its index in `dsp.WINDOW_NAMES`.
 * "DUST": u32 version, u32 V, u32 Q, u64 T, frame rate as two u64, then
   Q x T u32 tokens row-major by stage.
 
-Both formats are at version 2; files of any other version are rejected.
+Both formats are at version 3; files of any other version are rejected.
 Every save writes `<path>.tmp` and then moves it over `path`, so an
 interrupted save leaves no truncated file.
 """
@@ -17,6 +18,7 @@ interrupted save leaves no truncated file.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 import struct
 from fractions import Fraction
@@ -25,13 +27,13 @@ from typing import Iterable
 import numpy as np
 
 from .codec import Codebook, CodecConfig, RvqCodec, TokenSequence
-from .dsp import FeatureKind, FeatureMatrix
+from .dsp import WINDOW_NAMES, FeatureKind, FeatureMatrix
 from .errors import DataError, ValidationError
 from .toylm import NgramModel
 
 MAGIC_DUSS = b"DUSS"
 MAGIC_DUST = b"DUST"
-VERSION = 2
+VERSION = 3
 
 KIND_CODEC = 5
 KIND_NGRAM = 6
@@ -144,7 +146,7 @@ def load_features(path) -> FeatureMatrix:
 # ---------------------------------------------------------------------------
 # Codecs
 
-_CODEC_FIXED = struct.Struct("<IIIIIIQ")
+_CODEC_FIXED = struct.Struct("<IIIIIIIIQ")
 
 
 def save_codec(path, codec: RvqCodec) -> None:
@@ -153,7 +155,8 @@ def save_codec(path, codec: RvqCodec) -> None:
         raise ValidationError(f"cannot serialize negative seed {cfg.seed}")
     mse = list(codec.stage_train_mse)
     payload = [_CODEC_FIXED.pack(cfg.codebook_size, cfg.num_quantizers, cfg.hop,
-                                 cfg.sample_rate, cfg.feature_dim, cfg.kmeans_iters, cfg.seed)]
+                                 cfg.sample_rate, cfg.frame_len, WINDOW_NAMES.index(cfg.window),
+                                 cfg.feature_dim, cfg.kmeans_iters, cfg.seed)]
     for stage in codec.stages:
         payload += [_f8(stage.vectors),
                     np.ascontiguousarray(stage.usage_counts, dtype="<u8").tobytes()]
@@ -164,13 +167,17 @@ def save_codec(path, codec: RvqCodec) -> None:
 
 def load_codec(path) -> RvqCodec:
     reader, (_, t, d), _ = _open(path, MAGIC_DUSS, kinds=(KIND_CODEC,))
-    v, q, hop, sample_rate, feature_dim, kmeans_iters, seed = reader.take_struct(_CODEC_FIXED)
+    (v, q, hop, sample_rate, frame_len, window, feature_dim, kmeans_iters,
+     seed) = reader.take_struct(_CODEC_FIXED)
     if (t, d) != (q, feature_dim):
         raise DataError(f"{path}: header ({t}, {d}) disagrees with codec "
                         f"config ({q}, {feature_dim})")
+    if window >= len(WINDOW_NAMES):
+        raise DataError(f"{path}: window index {window} outside {WINDOW_NAMES}")
     with _invalid_payload(path, "codec config"):
         cfg = CodecConfig(codebook_size=v, num_quantizers=q, hop=hop,
-                          sample_rate=sample_rate, feature_dim=feature_dim,
+                          sample_rate=sample_rate, frame_len=frame_len,
+                          window=WINDOW_NAMES[window], feature_dim=feature_dim,
                           kmeans_iters=kmeans_iters, seed=seed)
     arrays = [(reader.take_array("<f8", v * feature_dim).reshape(v, feature_dim),
                reader.take_array("<u8", v)) for _ in range(q)]
@@ -230,25 +237,37 @@ def _check_ngram_vocab(vocab_size: int) -> None:
         raise ValidationError(f"vocab_size {vocab_size} exceeds the u32 token ids")
 
 
-def _check_ngram_row(model: NgramModel, ctx: tuple, ids: np.ndarray,
-                     counts: np.ndarray) -> None:
+def _check_ngram_rows(model: NgramModel, contexts: list, rows: list) -> None:
+    """Hold the contexts and their (ids, counts) rows to the rule above, all at
+    once; the error names the first context that breaks the first rule broken."""
     v = model.vocab_size
-    if len(ctx) >= model.order:
-        raise ValidationError(f"context {ctx} too long for order {model.order}")
-    if ctx and (min(ctx) < 0 or max(ctx) >= v) or len(ids) and (ids[0] < 0 or ids[-1] >= v):
-        raise ValidationError(f"context {ctx} has a token or id outside vocabulary {v}")
-    if len(ids) != len(counts) or len(ids) and ((ids[1:] <= ids[:-1]).any()
-                                                or counts.min() <= 0):
-        raise ValidationError(f"context {ctx} needs strictly increasing ids "
-                              "and one positive count each")
+    parts = (contexts, [ids for ids, _ in rows], [counts for _, counts in rows])
+    ctx_len, id_len, count_len = (np.fromiter(map(len, p), np.int64, len(p)) for p in parts)
+    ctx_row, id_row, count_row = (np.repeat(np.arange(len(rows)), n)
+                                  for n in (ctx_len, id_len, count_len))
+    # float64, so that a context token of any size compares, and none overflows
+    tokens = np.fromiter(itertools.chain.from_iterable(contexts), np.float64, len(ctx_row))
+    ids, counts = (np.concatenate([np.empty(0, np.int64), *p]) for p in parts[1:])
+    broken = {  # rule -> rows that break it
+        f"too long for order {model.order}": np.nonzero(ctx_len >= model.order)[0],
+        f"has a token or id outside vocabulary {v}": np.concatenate(
+            [ctx_row[(tokens < 0) | (tokens >= v)], id_row[(ids < 0) | (ids >= v)]]),
+        "needs strictly increasing ids and one positive count each": np.concatenate(
+            [np.nonzero(id_len != count_len)[0], count_row[counts <= 0],
+             id_row[1:][(ids[1:] <= ids[:-1]) & (id_row[1:] == id_row[:-1])]]),
+    }
+    for rule, bad in broken.items():
+        if len(bad):
+            raise ValidationError(f"context {contexts[bad.min()]} {rule}")
 
 
 def _ngram_payload(model: NgramModel):
     _check_ngram_vocab(model.vocab_size)
-    yield struct.pack("<dQ", model.alpha, len(model.counts))
-    for ctx in sorted(model.counts, key=lambda c: (len(c), c)):
-        ids, counts = model.counts[ctx]
-        _check_ngram_row(model, ctx, ids, counts)
+    contexts = sorted(model.counts, key=lambda c: (len(c), c))
+    rows = [model.counts[ctx] for ctx in contexts]
+    _check_ngram_rows(model, contexts, rows)
+    yield struct.pack("<dQ", model.alpha, len(contexts))
+    for ctx, (ids, counts) in zip(contexts, rows):
         yield struct.pack("<I", len(ctx)) + np.asarray(ctx, dtype="<u4").tobytes()
         yield struct.pack("<I", len(ids)) + np.ascontiguousarray(ids, dtype="<u4").tobytes()
         yield np.ascontiguousarray(counts, dtype="<u8").tobytes()
@@ -264,17 +283,16 @@ def load_ngram(path) -> NgramModel:
         _check_ngram_vocab(vocab_size)
         model = NgramModel(order=int(order), vocab_size=int(vocab_size), alpha=alpha)
     previous = None
-    with _invalid_payload(path, "n-gram row"):
-        for _ in range(n_contexts):
-            (ctx_len,) = reader.take_struct(struct.Struct("<I"))
-            ctx = tuple(reader.take_array("<u4", ctx_len).tolist())
-            if previous is not None and (ctx_len, ctx) <= previous:
-                raise DataError(f"{path}: context {ctx} out of order")
-            previous = (ctx_len, ctx)
-            (n_entries,) = reader.take_struct(struct.Struct("<I"))
-            ids = reader.take_array("<u4", n_entries).astype(np.int64)
-            counts = reader.take_array("<u8", n_entries).astype(np.int64)
-            _check_ngram_row(model, ctx, ids, counts)
-            model.counts[ctx] = (ids, counts)
+    for _ in range(n_contexts):
+        (ctx_len,) = reader.take_struct(struct.Struct("<I"))
+        ctx = tuple(reader.take_array("<u4", ctx_len).tolist())
+        if previous is not None and (ctx_len, ctx) <= previous:
+            raise DataError(f"{path}: context {ctx} out of order")
+        previous = (ctx_len, ctx)
+        (n_entries,) = reader.take_struct(struct.Struct("<I"))
+        model.counts[ctx] = (reader.take_array("<u4", n_entries).astype(np.int64),
+                             reader.take_array("<u8", n_entries).astype(np.int64))
     reader.done()
+    with _invalid_payload(path, "n-gram row"):
+        _check_ngram_rows(model, list(model.counts), list(model.counts.values()))
     return model

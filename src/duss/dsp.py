@@ -32,7 +32,7 @@ DEFAULT_WINDOW = "hann"
 DEFAULT_N_MELS = 80
 DEFAULT_GL_ITERATIONS = 60
 
-_WINDOW_NAMES = ("hann", "hamming", "rectangular")
+WINDOW_NAMES = ("hann", "hamming", "rectangular")
 
 
 class FeatureKind(enum.IntEnum):
@@ -149,8 +149,8 @@ class AnalysisConfig:
 def _get_window(name: str, frame_len: int) -> np.ndarray:
     if name == "rectangular":
         return np.ones(frame_len)
-    if name not in _WINDOW_NAMES:
-        raise ValidationError(f"unknown window {name!r}, expected one of {_WINDOW_NAMES}")
+    if name not in WINDOW_NAMES:
+        raise ValidationError(f"unknown window {name!r}, expected one of {WINDOW_NAMES}")
     return sps.get_window(name, frame_len, fftbins=True)
 
 
@@ -167,10 +167,6 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     ratio = Fraction(int(target_rate), w.sample_rate)
     out = sps.resample_poly(w.samples, ratio.numerator, ratio.denominator)
     return Waveform(out, int(target_rate))
-
-
-def _frame_count(num_samples: int, hop: int) -> int:
-    return -(-num_samples // hop)  # ceil division
 
 
 def _frames(x: np.ndarray, frame_len: int, hop: int, num_frames: int) -> np.ndarray:
@@ -193,7 +189,7 @@ def stft(w: Waveform, frame_len: int = DEFAULT_FRAME_LEN, hop: int = DEFAULT_HOP
     _check_hop(frame_len, hop)
     win = _get_window(window, frame_len)
     x = w.samples
-    num_frames = _frame_count(len(x), hop)
+    num_frames = -(-len(x) // hop)  # ceil division
     if num_frames == 0:
         return np.zeros((0, frame_len // 2 + 1), dtype=np.complex128)
     left = frame_len // 2
@@ -203,7 +199,7 @@ def stft(w: Waveform, frame_len: int = DEFAULT_FRAME_LEN, hop: int = DEFAULT_HOP
 
 
 def _overlap_add(spec: np.ndarray, frame_len: int, hop: int, win: np.ndarray,
-                 norm: Optional[np.ndarray] = None) -> np.ndarray:
+                 norm: np.ndarray) -> np.ndarray:
     """Least-squares overlap-add inverse of `stft`'s framing, in its padded
     domain, plus one hop of zeros after the last frame so that the centred
     T * hop samples from frame_len // 2 on always exist. `norm` is
@@ -212,7 +208,7 @@ def _overlap_add(spec: np.ndarray, frame_len: int, hop: int, win: np.ndarray,
     out = np.zeros(len(spec) * hop + frame_len)
     for t, frame in enumerate(frames):
         out[t * hop:t * hop + frame_len] += frame
-    return out / (_ola_norm(len(spec), hop, win) if norm is None else norm)
+    return out / norm
 
 
 def _ola_norm(num_frames: int, hop: int, win: np.ndarray) -> np.ndarray:
@@ -254,9 +250,17 @@ def mel_filterbank(sample_rate: int, n_fft: int, n_mels: int, fmin: float,
 
 
 @functools.lru_cache(maxsize=8)
+def _mel_basis(sample_rate, n_fft, n_mels, fmin, fmax) -> np.ndarray:
+    """Read-only mel_filterbank(...), built once per setting."""
+    fb = mel_filterbank(sample_rate, n_fft, n_mels, fmin, fmax)
+    fb.flags.writeable = False
+    return fb
+
+
+@functools.lru_cache(maxsize=8)
 def _mel_inverse(sample_rate, n_fft, n_mels, fmin, fmax) -> np.ndarray:
-    """Read-only pinv(mel_filterbank(...)).T: least-squares map from mel to linear power."""
-    inv = np.linalg.pinv(mel_filterbank(sample_rate, n_fft, n_mels, fmin, fmax)).T
+    """Read-only pinv(_mel_basis(...)).T: least-squares map from mel to linear power."""
+    inv = np.linalg.pinv(_mel_basis(sample_rate, n_fft, n_mels, fmin, fmax)).T
     inv.flags.writeable = False
     return inv
 
@@ -268,7 +272,7 @@ def analyze(w: Waveform, cfg: AnalysisConfig) -> FeatureMatrix:
         raise ValidationError(
             f"waveform rate {w.sample_rate} != analysis rate {cfg.sample_rate}; resample first")
     power = np.abs(stft(w, cfg.frame_len, cfg.hop, cfg.window)) ** 2
-    fb = mel_filterbank(cfg.sample_rate, cfg.frame_len, cfg.n_mels, cfg.fmin, cfg.resolved_fmax())
+    fb = _mel_basis(cfg.sample_rate, cfg.frame_len, cfg.n_mels, cfg.fmin, cfg.resolved_fmax())
     data = np.log(np.maximum(power @ fb.T, LOG_EPS))
     return FeatureMatrix(data=data, frame_rate=cfg.frame_rate, kind=FeatureKind.MEL_SPECTROGRAM)
 
@@ -305,7 +309,7 @@ def estimate_f0(w: Waveform, f0_floor: float = 60.0, f0_ceil: float = 400.0,
         raise ValidationError(f"hop must be positive, got {hop}")
     tau_max = int(np.ceil(sr / f0_floor))
     tau_min = max(2, int(np.floor(sr / f0_ceil)))
-    num_frames = _frame_count(len(w.samples), hop)
+    num_frames = -(-len(w.samples) // hop)  # ceil division
     values = np.zeros(num_frames)
     if num_frames == 0:
         return F0Track(values=values, frame_rate=Fraction(sr, hop))

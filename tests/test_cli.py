@@ -11,8 +11,9 @@ import struct
 import numpy as np
 import pytest
 
-from duss import cli, containers, corpus
+from duss import cli, containers, corpus, dsp
 from duss.codec import TokenSequence
+from duss.codec import encode as codec_encode
 from duss.dsp import read_wav
 from duss.errors import DataError, ValidationError
 
@@ -100,14 +101,40 @@ class TestParsing:
         lambda ws, out: ["corpus-filter", ws["manifest"], "--out", out, "--seed", "1"],
         lambda ws, out: ["corpus-filter", ws["manifest"], "--out", out,
                          "--config", out + ".cfg"],
+        lambda ws, out: ["encode", ws["codec"], ws["audio0"], "--out", out,
+                         "--frame-len", "1024"],
+        lambda ws, out: ["encode", ws["codec"], ws["audio0"], "--out", out,
+                         "--config", out + ".cfg"],
+        lambda ws, out: ["decode", ws["codec"], ws["tokens"], "--out", out,
+                         "--window", "hamming"],
+        lambda ws, out: ["generate", ws["lm"], ws["codec"], "--out-dir", out,
+                         "--frame-len", "1024"],
     ], ids=["encode-preset", "train-lm-seed", "tune-preset", "corpus-filter-seed",
-            "corpus-filter-config"])
+            "corpus-filter-config", "encode-frame-len", "encode-config", "decode-window",
+            "generate-frame-len"])
     def test_flag_the_command_does_not_read_is_rejected(self, workspace, tmp_path, capsys,
                                                         argv):
         out = str(tmp_path / "out")
         assert cli.main(argv(workspace, out)) == 1
         assert "unrecognized arguments" in last_error(capsys.readouterr().err)["message"]
         assert not os.path.exists(out)
+
+    @staticmethod
+    def _settings_flags():
+        """The settings keys each subcommand takes a flag for."""
+        (sub,) = [a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        return {name: {a.dest for a in p._actions} & set(cli._CONFIG_SCHEMA)
+                for name, p in sub.choices.items()}
+
+    def test_every_settings_key_is_read_by_a_subcommand(self):
+        assert set().union(*self._settings_flags().values()) == set(cli._CONFIG_SCHEMA)
+
+    def test_codec_commands_take_no_analysis_flags(self):
+        """A loaded codec carries its analysis settings; no flag restates them."""
+        flags = self._settings_flags()
+        for name in ("encode", "decode", "generate", "tune"):
+            assert not flags[name] & {"frame_len", "window", "hop", "sample_rate", "n_mels"}, name
 
     def test_missing_input_file_is_data_error(self, tmp_path, capsys):
         rc = cli.main(["train-codec", str(tmp_path / "nope.jsonl"),
@@ -186,7 +213,7 @@ class TestSettings:
         cfg_file = tmp_path / "all.cfg"
         cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
         cfg = cli.build_pipeline_config(self._args(config=str(cfg_file)), seed=5)
-        parts = (cfg, cfg.codec, cfg.analysis, cfg.sampling)
+        parts = (cfg, cfg.codec, cfg.codec.analysis, cfg.sampling)
         for key, value in values.items():
             holders = [part for part in parts if hasattr(part, key)]
             assert holders, key
@@ -273,6 +300,13 @@ class TestTrainCodec:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
+    def test_hop_beyond_frame_len_rejected(self, workspace, tmp_path, capsys):
+        out = tmp_path / "c.duss"
+        assert cli.main(["train-codec", workspace["manifest"], "--out", str(out),
+                         "--hop", "4096"]) == 1
+        assert "hop=4096, frame_len=2048" in last_error(capsys.readouterr().err)["message"]
+        assert not out.exists()
+
     def test_config_file_controls_codebook(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("codebook_size=8\nkmeans_iters=5\n")
@@ -297,6 +331,21 @@ class TestEncodeDecode:
                          "--out", str(out)]) == 0
         capsys.readouterr()
         assert out.read_bytes() == open(workspace["tokens"], "rb").read()
+
+    def test_encode_uses_the_codec_analysis(self, workspace, tmp_path, capsys):
+        """A codec trained on 1024-sample Hamming frames encodes with them,
+        with no flag restating them."""
+        codec_path, tokens = tmp_path / "hamming.duss", tmp_path / "hamming.dust"
+        assert cli.main(["train-codec", workspace["manifest"], "--out", str(codec_path),
+                         *TRAIN_ARGS, "--frame-len", "1024", "--window", "hamming"]) == 0
+        assert cli.main(["encode", str(codec_path), workspace["audio0"],
+                         "--out", str(tokens)]) == 0
+        capsys.readouterr()
+        codec = containers.load_codec(codec_path)
+        assert (codec.config.frame_len, codec.config.window) == (1024, "hamming")
+        wave = dsp.resample(read_wav(workspace["audio0"]), codec.config.sample_rate)
+        want = codec_encode(codec, dsp.analyze(wave, codec.config.analysis))
+        np.testing.assert_array_equal(containers.load_tokens(tokens).tokens, want.tokens)
 
     def test_decode_round_trip_mcd_below_threshold(self, workspace, tmp_path, capsys):
         out = tmp_path / "rec.wav"

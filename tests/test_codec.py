@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duss import codec as cd
+from duss import dsp
 from duss.errors import ValidationError
 
 from conftest import FRAME_RATE, make_clustered_features, make_feature_matrix
@@ -341,3 +342,16 @@ class TestCodecConfig:
     def test_rejects_tiny_codebook(self):
         with pytest.raises(ValidationError):
             cd.CodecConfig(codebook_size=1)
+
+    def test_rejects_hop_beyond_frame_len_and_unknown_window(self):
+        with pytest.raises(ValidationError, match="hop=4096, frame_len=2048"):
+            cd.CodecConfig(hop=4096)
+        with pytest.raises(ValidationError, match="unknown window 'bogus'"):
+            cd.CodecConfig(window="bogus")
+
+    def test_analysis_holds_the_codec_settings(self):
+        cfg = cd.CodecConfig(hop=240, sample_rate=24000, frame_len=1024, window="hamming",
+                             feature_dim=40)
+        assert cfg.analysis == dsp.AnalysisConfig(sample_rate=24000, frame_len=1024, hop=240,
+                                                  window="hamming", n_mels=40)
+        assert cfg.analysis.frame_rate == cfg.frame_rate

@@ -1,6 +1,7 @@
 """Binary container round trips and corruption handling for the DUSS and
 DUST file formats."""
 
+import dataclasses
 import math
 import os
 import struct
@@ -31,7 +32,7 @@ class TestFormatConstants:
     def test_magics_and_version(self):
         assert ct.MAGIC_DUSS == b"DUSS"
         assert ct.MAGIC_DUST == b"DUST"
-        assert ct.VERSION == 2
+        assert ct.VERSION == 3
 
     def test_kind_codes_are_frozen(self):
         # on-disk format constants; renumbering breaks existing files
@@ -139,6 +140,23 @@ class TestCodecFiles:
             np.testing.assert_array_equal(sa.usage_counts, sb.usage_counts)
         np.testing.assert_allclose(got.stage_train_mse, codec.stage_train_mse,
                                    rtol=0, atol=0)
+        # the analysis settings travel with the codec
+        assert (got.config.frame_len, got.config.window) == (2048, "hann")
+        for frame_len, window in ((1024, "hamming"), (512, "rectangular")):
+            cfg = dataclasses.replace(codec.config, frame_len=frame_len, window=window)
+            ct.save_codec(path, RvqCodec(config=cfg, stages=codec.stages))
+            got = ct.load_codec(path).config
+            assert (got.frame_len, got.window) == (frame_len, window)
+            assert got.analysis == cfg.analysis
+
+    def test_rejects_window_index_out_of_range(self, tmp_path, tiny_codec):
+        codec, _ = tiny_codec
+        path = tmp_path / "codec.duss"
+        ct.save_codec(path, codec)
+        # v, q, hop, sample_rate and frame_len come before the window index
+        corrupt(path, ct._HEADERS[ct.MAGIC_DUSS].size + 5 * 4, 3)
+        with pytest.raises(DataError, match="window index 3"):
+            ct.load_codec(path)
 
     def test_repeated_saves_byte_identical(self, tmp_path, tiny_codec):
         codec, _ = tiny_codec
