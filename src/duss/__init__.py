@@ -8,7 +8,6 @@ from .codec import (
     RvqCodec,
     TokenSequence,
     decode,
-    decode_partial,
     encode,
     train_codebooks,
 )
@@ -80,7 +79,7 @@ __all__ = [
     "FeatureMatrix", "GenerationResult", "LogF0Result", "NgramModel",
     "RvqCodec", "SamplingParams", "SearchSpace", "TokenSequence", "Trial",
     "TuningHistory", "UtteranceEntry", "ValidationError", "Waveform",
-    "analyze", "apply_temperature", "decode", "decode_partial", "encode",
+    "analyze", "apply_temperature", "decode", "encode",
     "estimate_f0", "filter_by_score", "filter_candidates", "filter_styles",
     "generate", "griffin_lim", "load_codec", "load_features", "load_manifest",
     "load_ngram", "load_tokens", "log_f0_rmse", "mcd", "measured_bitrate",

@@ -19,7 +19,7 @@ from typing import Dict, List
 import numpy as np
 
 from . import containers, corpus, dsp, metrics, sampler, toylm, tuner
-from .codec import CodecConfig, RvqCodec, TokenSequence, decode_partial, train_codebooks
+from .codec import CodecConfig, RvqCodec, TokenSequence, train_codebooks
 from .codec import decode as codec_decode
 from .codec import encode as codec_encode
 from .errors import DataError, ValidationError, read_lines
@@ -76,8 +76,8 @@ def _diag(event: str, **fields) -> None:
     print(json.dumps({"event": event, **fields}), file=sys.stderr)
 
 
-def parse_config_file(path) -> Dict:
-    """Plain-text key=value settings; '#' starts a comment."""
+def parse_config_file(path, keys=_CONFIG_SCHEMA) -> Dict:
+    """Plain-text key=value settings, each one of `keys`; '#' starts a comment."""
     values = {}
     for line_no, line in enumerate(read_lines(path, "config file"), start=1):
         line = line.split("#", 1)[0].strip()
@@ -86,8 +86,9 @@ def parse_config_file(path) -> Dict:
         if "=" not in line:
             raise ValidationError(f"{path}:{line_no}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_SCHEMA:
-            raise ValidationError(f"{path}:{line_no}: unknown key {key!r}")
+        if key not in keys:
+            raise ValidationError(
+                f"{path}:{line_no}: unknown key {key!r}, expected one of: {', '.join(keys)}")
         try:
             values[key] = _CONFIG_SCHEMA[key](value)
         except ValueError:
@@ -98,7 +99,10 @@ def parse_config_file(path) -> Dict:
 
 
 def resolve_settings(args) -> Dict:
-    """Merge defaults, preset, config file, and explicit flags, in that order."""
+    """Merge defaults, preset, config file, and explicit flags, in that order.
+    The settings a command reads are those it has flags for, so `args` has an
+    attribute for each; its config file may set only those."""
+    keys = [key for key in _CONFIG_SCHEMA if hasattr(args, key)]
     values = dict(_DEFAULTS)
     preset = getattr(args, "preset", None)
     if preset is not None:
@@ -108,9 +112,9 @@ def resolve_settings(args) -> Dict:
         values.update(PRESETS[preset])
     config_path = getattr(args, "config", None)
     if config_path is not None:
-        values.update(parse_config_file(config_path))
-    for key in _CONFIG_SCHEMA:
-        flag_value = getattr(args, key, None)
+        values.update(parse_config_file(config_path, keys))
+    for key in keys:
+        flag_value = getattr(args, key)
         if flag_value is not None:
             values[key] = flag_value
     return values
@@ -255,7 +259,7 @@ def _check_lm_codec(model: toylm.NgramModel, codec: RvqCodec) -> None:
 
 
 def generated_bitrate(sequences: List[TokenSequence]) -> float:
-    """Measured bitrate of the non-empty generated sequences over their own
+    """Measured bitrate of the non-empty token sequences over their own
     durations; 0 when every sequence is empty."""
     nonempty = [s for s in sequences if s.num_frames > 0]
     if not nonempty:
@@ -300,7 +304,7 @@ def cmd_generate(args) -> int:
         sequences.append(seq)
         stem = os.path.join(args.out_dir, f"gen_{i:03d}")
         containers.save_tokens(stem + ".dust", seq)
-        wave = dsp.griffin_lim(decode_partial(codec, seq), codec.config.analysis,
+        wave = dsp.griffin_lim(codec_decode(codec, seq), codec.config.analysis,
                                iterations=cfg.gl_iterations)
         dsp.write_wav(stem + ".wav", wave)
         print(f"gen_{i:03d}: frames={seq.num_frames} natural={result.natural}")
@@ -355,9 +359,7 @@ def cmd_evaluate(args) -> int:
                      "log_f0_rmse": f0_result.rmse, "f0_no_overlap": f0_result.no_overlap})
 
     if args.tokens:
-        seqs = [containers.load_tokens(p) for p in args.tokens]
-        durations = [max(s.num_frames, 1) / float(s.frame_rate) for s in seqs]
-        bitrate = metrics.measured_bitrate(seqs, durations)
+        bitrate = generated_bitrate([containers.load_tokens(p) for p in args.tokens])
     elif args.codec:
         codec = containers.load_codec(args.codec)
         bitrate = metrics.nominal_bitrate(codec.config.codebook_size,
@@ -460,8 +462,8 @@ def _add_seed(parser: argparse.ArgumentParser) -> None:
 
 def _add_settings(parser: argparse.ArgumentParser, keys, seed: bool = False,
                   preset: bool = False) -> None:
-    """--config and an override flag per settings key the command reads, plus
-    --seed and --preset for the commands that read them."""
+    """An override flag per settings key the command reads, --config for a file
+    of those keys, plus --seed and --preset for the commands that read them."""
     if seed:
         _add_seed(parser)
     parser.add_argument("--config", default=None,
@@ -549,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="codec file; reports its nominal bitrate")
     p.add_argument("--tokens", nargs="*", default=None,
                    help="token files; reports their measured bitrate")
-    _add_settings(p, ["frame_len", "window", "n_coeffs", "n_mels"])
+    _add_settings(p, ["hop", "sample_rate", "frame_len", "n_mels", "window", "n_coeffs"])
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("corpus-filter", help="style and score based selection")

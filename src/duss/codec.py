@@ -244,13 +244,10 @@ def encode(codec: RvqCodec, features: FeatureMatrix) -> TokenSequence:
                          frame_rate=features.frame_rate)
 
 
-def decode_partial(codec: RvqCodec, tokens: TokenSequence) -> FeatureMatrix:
-    """Decode using only the first tokens.num_stages quantizer stages.
-
-    Lets single-stream sequences (e.g. generated ones) be rendered through
-    a multi-stage codec as a coarse reconstruction; equals `decode` when
-    the stage counts match.
-    """
+def decode(codec: RvqCodec, tokens: TokenSequence) -> FeatureMatrix:
+    """Sum the selected code vectors per frame over the first tokens.num_stages
+    stages, so a single-stream (e.g. generated) sequence renders through a
+    multi-stage codec as a coarse reconstruction."""
     if tokens.num_stages > len(codec.stages):
         raise ValidationError(
             f"token stages {tokens.num_stages} exceed codec stages {len(codec.stages)}")
@@ -261,11 +258,3 @@ def decode_partial(codec: RvqCodec, tokens: TokenSequence) -> FeatureMatrix:
     for s in range(tokens.num_stages):
         out += codec.stages[s].vectors[tokens.tokens[s]]
     return FeatureMatrix(data=out, frame_rate=tokens.frame_rate, kind=FeatureKind.DECODED)
-
-
-def decode(codec: RvqCodec, tokens: TokenSequence) -> FeatureMatrix:
-    """Sum the selected code vectors per frame across all stages."""
-    if tokens.num_stages != len(codec.stages):
-        raise ValidationError(
-            f"token stages {tokens.num_stages} != codec stages {len(codec.stages)}")
-    return decode_partial(codec, tokens)

@@ -198,25 +198,22 @@ def stft(w: Waveform, frame_len: int = DEFAULT_FRAME_LEN, hop: int = DEFAULT_HOP
     return np.fft.rfft(_frames(padded, frame_len, hop, num_frames) * win, axis=1)
 
 
-def _overlap_add(spec: np.ndarray, frame_len: int, hop: int, win: np.ndarray,
-                 norm: np.ndarray) -> np.ndarray:
-    """Least-squares overlap-add inverse of `stft`'s framing, in its padded
+def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+    """Frames summed at `hop` spacing, undoing `stft`'s framing in its padded
     domain, plus one hop of zeros after the last frame so that the centred
-    T * hop samples from frame_len // 2 on always exist. `norm` is
-    `_ola_norm(len(spec), hop, win)`; a caller in a loop builds it once."""
-    frames = np.fft.irfft(spec, n=frame_len, axis=1) * win
-    out = np.zeros(len(spec) * hop + frame_len)
+    T * hop samples from frame_len // 2 on always exist."""
+    frame_len = frames.shape[1]
+    out = np.zeros(len(frames) * hop + frame_len)
     for t, frame in enumerate(frames):
         out[t * hop:t * hop + frame_len] += frame
-    return out / norm
+    return out
 
 
 def _ola_norm(num_frames: int, hop: int, win: np.ndarray) -> np.ndarray:
-    """The overlap-added squared window that `_overlap_add` divides by, floored at 1e-12."""
-    norm = np.zeros(num_frames * hop + len(win))
-    for t in range(num_frames):
-        norm[t * hop:t * hop + len(win)] += win * win
-    return np.maximum(norm, 1e-12)
+    """The overlap-added squared window, floored at 1e-12: an overlap-add of
+    windowed frames divided by it is the least-squares inverse STFT."""
+    squares = np.broadcast_to(win * win, (num_frames, len(win)))
+    return np.maximum(_overlap_add(squares, hop), 1e-12)
 
 
 def hz_to_mel(f):
@@ -392,7 +389,7 @@ def griffin_lim(mel: FeatureMatrix, cfg: AnalysisConfig,
     norm, target_norm = _ola_norm(num_frames, cfg.hop, win), np.linalg.norm(target_mag)
     spec = target_mag.astype(np.complex128)  # zero initial phase
     for _ in range(iterations):
-        y = _overlap_add(spec, cfg.frame_len, cfg.hop, win, norm)
+        y = _overlap_add(np.fft.irfft(spec, n=cfg.frame_len, axis=1) * win, cfg.hop) / norm
         reanalyzed = np.fft.rfft(_frames(y, cfg.frame_len, cfg.hop, num_frames) * win, axis=1)
         mag = np.abs(reanalyzed)
         if return_errors:
@@ -400,7 +397,7 @@ def griffin_lim(mel: FeatureMatrix, cfg: AnalysisConfig,
         spec = target_mag * np.divide(reanalyzed, mag, out=np.ones_like(reanalyzed),
                                       where=mag > 0)
     left = cfg.frame_len // 2  # undo stft's centering
-    y = _overlap_add(spec, cfg.frame_len, cfg.hop, win, norm)
+    y = _overlap_add(np.fft.irfft(spec, n=cfg.frame_len, axis=1) * win, cfg.hop) / norm
     wav = Waveform(y[left:left + num_frames * cfg.hop], cfg.sample_rate)
     return (wav, np.array(errors)) if return_errors else wav
 

@@ -10,7 +10,7 @@ from typing import List, Protocol
 
 import numpy as np
 
-from .codec import RvqCodec, TokenSequence, decode_partial
+from .codec import RvqCodec, TokenSequence, decode
 from .errors import ValidationError
 from .sampler import DEFAULT_MAX_LEN, SamplingParams, generate
 
@@ -113,7 +113,7 @@ class CentroidScorer:
         if generated.num_frames == 0:
             distortion = EMPTY_SEQUENCE_PENALTY
         else:
-            decoded = decode_partial(self.codec, generated)
+            decoded = decode(self.codec, generated)
             diff = decoded.data - self.centroid
             distortion = float(np.mean(np.sum(diff * diff, axis=1)))
         penalty = 0.0

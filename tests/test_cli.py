@@ -68,6 +68,10 @@ def workspace(tmp_path_factory):
         "tokens": str(root / "utt0.dust"),
         "lm": str(root / "lm.duss"),
         "audio0": str(root / "audio" / "utt_000.wav"),
+        # two utterances sharing the corpus ids, pitched up by a quarter
+        "shifted": write_corpus(root / "shifted", [(utt_id, 1.25 * freq, style, split)
+                                                   for utt_id, freq, style, split
+                                                   in ENTRIES[:2]]),
     }
     assert cli.main(["train-codec", manifest, "--out", paths["codec"],
                      *TRAIN_ARGS]) == 0
@@ -120,15 +124,42 @@ class TestParsing:
         assert not os.path.exists(out)
 
     @staticmethod
-    def _settings_flags():
-        """The settings keys each subcommand takes a flag for."""
+    def _subparsers():
         (sub,) = [a for a in cli.build_parser()._actions
                   if isinstance(a, argparse._SubParsersAction)]
+        return sub.choices
+
+    def _settings_flags(self):
+        """The settings keys each subcommand takes a flag for."""
         return {name: {a.dest for a in p._actions} & set(cli._CONFIG_SCHEMA)
-                for name, p in sub.choices.items()}
+                for name, p in self._subparsers().items()}
 
     def test_every_settings_key_is_read_by_a_subcommand(self):
         assert set().union(*self._settings_flags().values()) == set(cli._CONFIG_SCHEMA)
+
+    def test_config_file_keys_are_the_settings_flags(self, tmp_path):
+        """A command's --config file may set exactly the keys it has flags for:
+        25 (command, key) pairs over the six commands that take a file."""
+        accepted = {}
+        for name, p in self._subparsers().items():
+            args = argparse.Namespace(**{a.dest: a.default for a in p._actions})
+            if not hasattr(args, "config"):
+                continue
+            accepted[name] = set()
+            for key, value in cli._DEFAULTS.items():
+                args.config = str(tmp_path / f"{name}-{key}.cfg")
+                with open(args.config, "w") as fh:
+                    fh.write(f"{key} = {value}\n")
+                try:
+                    cli.resolve_settings(args)
+                except ValidationError:
+                    continue
+                accepted[name].add(key)
+        flags = self._settings_flags()
+        assert accepted == {name: flags[name] for name in accepted}
+        assert sorted(accepted) == ["decode", "evaluate", "generate", "train-codec",
+                                    "train-lm", "tune"]
+        assert sum(len(keys) for keys in accepted.values()) == 25
 
     def test_codec_commands_take_no_analysis_flags(self):
         """A loaded codec carries its analysis settings; no flag restates them."""
@@ -163,6 +194,70 @@ class TestParsing:
         event = json.loads(lines[0])
         assert event["event"] == "error" and event["kind"] == "data"
         assert bad in event["message"]
+
+
+def output_bytes(path: str):
+    """A file's bytes, or a directory's (name, bytes) pairs."""
+    if os.path.isdir(path):
+        return [(name, open(os.path.join(path, name), "rb").read())
+                for name in sorted(os.listdir(path))]
+    return open(path, "rb").read()
+
+
+# Per command that takes --config: its argv without settings, a key it reads
+# with two values that give different outputs, and a key it does not read.
+SCOPE_CASES = {
+    "train-codec": (lambda ws, out: ["train-codec", ws["manifest"], "--out", out,
+                                     "--kmeans-iters", "5"],
+                    "codebook_size", ("8", "12"), ("gl_iterations", "10")),
+    "decode": (lambda ws, out: ["decode", ws["codec"], ws["tokens"], "--out", out],
+               "gl_iterations", ("2", "3"), ("frame_len", "1024")),
+    "train-lm": (lambda ws, out: ["train-lm", ws["tokens"], "--out", out],
+                 "order", ("2", "1"), ("num_quantizers", "1")),
+    "generate": (lambda ws, out: ["generate", ws["lm"], ws["codec"], "--out-dir", out,
+                                  "--seed", "1", "--max-len", "20"],
+                 "gl_iterations", ("1", "2"), ("codebook_size", "1")),
+    "tune": (lambda ws, out: ["tune", ws["lm"], ws["codec"], "--out", out,
+                              "--dev-count", "1", "--max-len", "20", "--seed", "0"],
+             "n_trials", ("2", "3"), ("k", "5")),
+    "evaluate": (lambda ws, out: ["evaluate", ws["manifest"], ws["shifted"], "--out", out],
+                 "hop", ("240", "320"), ("codebook_size", "1")),
+}
+
+
+class TestConfigScope:
+    @pytest.mark.parametrize("command", sorted(SCOPE_CASES))
+    def test_read_key_takes_effect(self, workspace, tmp_path, capsys, command):
+        """The key set in a file gives the output of its flag, and another
+        value of the flag gives another output."""
+        argv, key, (value, other), _ = SCOPE_CASES[command]
+        flag = "--" + key.replace("_", "-")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        outputs = {}
+        for name, extra in (("file", ["--config", str(cfg)]), ("flag", [flag, value]),
+                            ("other", [flag, other])):
+            out = str(tmp_path / name)
+            assert cli.main(argv(workspace, out) + extra) == 0, name
+            outputs[name] = output_bytes(out)
+        capsys.readouterr()
+        assert outputs["file"] == outputs["flag"] != outputs["other"]
+
+    @pytest.mark.parametrize("command", sorted(SCOPE_CASES))
+    def test_unread_key_is_rejected_before_any_output(self, workspace, tmp_path, capsys,
+                                                      command):
+        argv, key, (value, _), (unread, unread_value) = SCOPE_CASES[command]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n{unread} = {unread_value}\n")
+        out = tmp_path / "out"
+        assert cli.main(argv(workspace, str(out)) + ["--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        event = json.loads(line)
+        assert (event["event"], event["kind"]) == ("error", "validation")
+        assert event["message"].startswith(f"{cfg}:2: unknown key {unread!r}")
+        assert not out.exists()
 
 
 class TestSettings:
@@ -413,6 +508,19 @@ class TestEncodeDecode:
         message = last_error(capsys.readouterr().err)["message"]
         assert "at stage" in message and "frame" in message
 
+    def test_decode_renders_generated_single_stream(self, workspace, tmp_path, capsys):
+        """`decode` renders `generate`'s one-stream tokens through the two-stage
+        codec exactly as `generate` did."""
+        gen, out = tmp_path / "gen", tmp_path / "again.wav"
+        assert cli.main(["generate", workspace["lm"], workspace["codec"], "--out-dir",
+                         str(gen), "--seed", "7", "--max-len", "60",
+                         "--gl-iterations", "5"]) == 0
+        assert containers.load_tokens(gen / "gen_000.dust").num_frames > 0
+        assert cli.main(["decode", workspace["codec"], str(gen / "gen_000.dust"),
+                         "--out", str(out), "--gl-iterations", "5"]) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == (gen / "gen_000.wav").read_bytes()
+
     def test_codec_token_shape_mismatch(self, workspace, tmp_path, capsys):
         single = tmp_path / "q1.duss"
         assert cli.main(["train-codec", workspace["manifest"], "--out", str(single),
@@ -623,6 +731,21 @@ class TestEvaluate:
         assert rc == 0
         capsys.readouterr()
         assert json.loads(out.read_text())["bitrate_bps"] > 0
+
+    def test_bitrate_skips_empty_token_files(self, workspace, tmp_path, capsys):
+        """An empty token file adds neither bits nor seconds to the measured bitrate."""
+        empty = tmp_path / "empty.dust"
+        containers.save_tokens(empty, TokenSequence(
+            tokens=np.zeros((2, 0), dtype=np.int64), vocab_size=16,
+            frame_rate=FRAME_RATE))
+        reports = []
+        for tokens in ([str(empty), workspace["tokens"]], [workspace["tokens"]]):
+            out = tmp_path / "report.json"
+            assert cli.main(["evaluate", workspace["manifest"], workspace["shifted"],
+                             "--tokens", *tokens, "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text())["bitrate_bps"])
+        capsys.readouterr()
+        assert reports[0] == reports[1] > 0
 
     def test_no_shared_ids(self, workspace, tmp_path, capsys):
         other = write_corpus(tmp_path, [("zz_0", 200.0, "read", "train")])

@@ -253,23 +253,35 @@ class TestEncodeDecode:
 
     def test_stage_mismatch_rejected(self, tiny_codec):
         codec, _ = tiny_codec
-        seq = cd.TokenSequence(tokens=np.zeros((1, 4), dtype=np.int64),
+        seq = cd.TokenSequence(tokens=np.zeros((3, 4), dtype=np.int64),
                                vocab_size=8, frame_rate=FRAME_RATE)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="token stages 3 exceed codec stages 2"):
+            cd.decode(codec, seq)
+
+    def test_vocab_mismatch_rejected(self, tiny_codec):
+        codec, _ = tiny_codec
+        seq = cd.TokenSequence(tokens=np.zeros((1, 4), dtype=np.int64),
+                               vocab_size=9, frame_rate=FRAME_RATE)
+        with pytest.raises(ValidationError, match="token vocab 9 != codebook size 8"):
             cd.decode(codec, seq)
 
     def test_decode_partial_matches_decode_when_full(self, tiny_codec):
+        """Decoding the first stage and adding the second stage's vectors gives
+        the decode of the full sequence."""
         codec, fm = tiny_codec
         seq = cd.encode(codec, fm)
-        np.testing.assert_array_equal(cd.decode(codec, seq).data,
-                                      cd.decode_partial(codec, seq).data)
+        head = cd.TokenSequence(tokens=seq.tokens[:1], vocab_size=8,
+                                frame_rate=FRAME_RATE)
+        np.testing.assert_array_equal(
+            cd.decode(codec, seq).data,
+            cd.decode(codec, head).data + codec.stages[1].vectors[seq.tokens[1]])
 
     def test_decode_partial_single_stream(self, tiny_codec):
         codec, fm = tiny_codec
         seq = cd.encode(codec, fm)
         head = cd.TokenSequence(tokens=seq.tokens[:1], vocab_size=8,
                                 frame_rate=FRAME_RATE)
-        rec = cd.decode_partial(codec, head)
+        rec = cd.decode(codec, head)
         np.testing.assert_allclose(rec.data,
                                    codec.stages[0].vectors[seq.tokens[0]],
                                    atol=1e-12)
@@ -292,7 +304,7 @@ def per_stage_mse(codec, features):
         prefix = cd.TokenSequence(tokens=seq.tokens[:s],
                                   vocab_size=seq.vocab_size,
                                   frame_rate=seq.frame_rate)
-        residual = features.data - cd.decode_partial(codec, prefix).data
+        residual = features.data - cd.decode(codec, prefix).data
         out.append(float(np.mean(np.sum(residual * residual, axis=1))))
     return tuple(out)
 
