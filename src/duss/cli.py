@@ -187,6 +187,8 @@ def split_features(manifest_path, analysis: dsp.AnalysisConfig, exclude_styles=N
 def _cepstrum_and_f0(path: str, cfg: PipelineConfig) -> tuple:
     """Mel cepstrum and F0 track of one WAV, read and resampled once."""
     wave, mel = _analyze_wav(path, cfg.codec.analysis)
+    if len(wave) == 0:
+        raise DataError(f"{path}: no audio samples")
     return dsp.mel_cepstrum(mel, cfg.n_coeffs), dsp.estimate_f0(wave, hop=cfg.codec.hop)
 
 

@@ -307,9 +307,8 @@ def estimate_f0(w: Waveform, f0_floor: float = 60.0, f0_ceil: float = 400.0,
     tau_max = int(np.ceil(sr / f0_floor))
     tau_min = max(2, int(np.floor(sr / f0_ceil)))
     num_frames = -(-len(w.samples) // hop)  # ceil division
-    values = np.zeros(num_frames)
     if num_frames == 0:
-        return F0Track(values=values, frame_rate=Fraction(sr, hop))
+        return F0Track(values=np.zeros(0), frame_rate=Fraction(sr, hop))
 
     window = tau_max  # integration window; frames span 2 * tau_max samples
     seg_len = 2 * tau_max
@@ -317,42 +316,35 @@ def estimate_f0(w: Waveform, f0_floor: float = 60.0, f0_ceil: float = 400.0,
     padded = np.pad(w.samples, (tau_max, right), mode="reflect")
 
     taus = np.arange(1, tau_max + 1)
-    for t, seg in enumerate(_frames(padded, seg_len, hop, num_frames)):
-        head = seg[:window]
-        energy = np.cumsum(seg * seg)
-        e_head = energy[window - 1]
-        e_lag = energy[taus + window - 1] - energy[taus - 1]
-        corr = np.correlate(seg, head, mode="valid")[1:]
-        diff = np.maximum(e_head + e_lag - 2.0 * corr, 0.0)
-        denom = np.cumsum(diff)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cmndf = np.where(denom > 0, diff * taus / denom, 1.0)
-        values[t] = _pick_f0(cmndf, tau_min, tau_max, threshold, sr, f0_floor, f0_ceil)
-    return F0Track(values=values, frame_rate=Fraction(sr, hop))
+    segs = _frames(padded, seg_len, hop, num_frames)
+    energy = np.cumsum(segs * segs, axis=1)
+    e_lag = energy[:, window:window + tau_max] - energy[:, :tau_max]
+    corr = np.array([np.correlate(seg, seg[:window], mode="valid")[1:] for seg in segs])
+    diff = np.maximum(energy[:, window - 1:window] + e_lag - 2.0 * corr, 0.0)
+    denom = np.cumsum(diff, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cmndf = np.where(denom > 0, diff * taus / denom, 1.0)
 
-
-def _pick_f0(cmndf: np.ndarray, tau_min: int, tau_max: int, threshold: float,
-             sr: int, f0_floor: float, f0_ceil: float) -> float:
-    """Absolute-threshold lag pick plus parabolic refinement; 0 if unvoiced."""
-    below = np.nonzero(cmndf[tau_min - 1: tau_max] < threshold)[0]
-    if len(below) == 0:
-        return 0.0
-    tau = tau_min + below[0]
-    while tau < tau_max and cmndf[tau] < cmndf[tau - 1]:
-        tau += 1
-    # cmndf index i corresponds to lag i + 1
-    idx = tau - 1
-    refined = float(tau)
-    if 0 < idx < len(cmndf) - 1:
-        a, b, c = cmndf[idx - 1], cmndf[idx], cmndf[idx + 1]
-        denom = a - 2.0 * b + c
-        if denom > 0:
-            shift = 0.5 * (a - c) / denom
-            refined = tau + float(np.clip(shift, -1.0, 1.0))
+    # Absolute threshold: the first lag in [tau_min, tau_max] below it, then
+    # onwards while the next lag is lower (cmndf column k holds lag k + 1).
+    below = cmndf[:, tau_min - 1:] < threshold
+    voiced = below.any(axis=1)
+    first = tau_min - 1 + below.argmax(axis=1)
+    stop = np.ones(cmndf.shape, dtype=bool)
+    stop[:, :-1] = ~(cmndf[:, 1:] < cmndf[:, :-1])
+    idx = (stop & (np.arange(tau_max) >= first[:, None])).argmax(axis=1)
+    # Parabolic refinement around the chosen lag unless it is the last one.
+    rows = np.arange(num_frames)
+    a, b = cmndf[rows, idx - 1], cmndf[rows, idx]
+    c = cmndf[rows, np.minimum(idx + 1, tau_max - 1)]
+    bend = a - 2.0 * b + c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift = np.clip(0.5 * (a - c) / bend, -1.0, 1.0)
+    tau = idx + 1
+    refined = np.where((idx < tau_max - 1) & (bend > 0), tau + shift, tau)
     f0 = sr / refined
-    if not (f0_floor <= f0 <= f0_ceil):
-        return 0.0
-    return f0
+    values = np.where(voiced & (f0_floor <= f0) & (f0 <= f0_ceil), f0, 0.0)
+    return F0Track(values=values, frame_rate=Fraction(sr, hop))
 
 
 def griffin_lim(mel: FeatureMatrix, cfg: AnalysisConfig,

@@ -72,24 +72,29 @@ def _as_frames(x) -> np.ndarray:
 def _dtw_from_cost(local: np.ndarray) -> Tuple[np.ndarray, float]:
     """Minimal-cost monotone alignment over a cost matrix with steps (1,0),
     (0,1), (1,1), as ((L, 2) index pairs from (0, 0) to the last cell, cost).
-    When step costs tie, the diagonal is preferred, then advancing x, then y."""
+    When step costs tie, the diagonal is preferred, then advancing x, then y.
+
+    The interior is filled one anti-diagonal d = i + j at a time. In the
+    C-ordered cumulative matrix the cells of one anti-diagonal lie ty - 1
+    apart, so each cell's diagonal, up and left predecessors are strided
+    slices at offsets -ty - 1, -ty and -1 of it; every cell is still one
+    exact min of three plus one add."""
     tx, ty = local.shape
     if tx == 0 or ty == 0:
         raise ValidationError("DTW requires non-empty inputs")
-    cum = np.empty_like(local)
+    cum = np.empty(local.shape)
     cum[0, 0] = local[0, 0]
     cum[0, 1:] = local[0, 1:].cumsum() + local[0, 0]
     cum[1:, 0] = local[1:, 0].cumsum() + local[0, 0]
-    for i in range(1, tx):
-        row = cum[i]
-        prev = cum[i - 1]
-        for j in range(1, ty):
-            best = prev[j - 1]  # diagonal preferred on ties
-            if prev[j] < best:
-                best = prev[j]
-            if row[j - 1] < best:
-                best = row[j - 1]
-            row[j] = local[i, j] + best
+    flat, cost, step = cum.reshape(-1), np.ascontiguousarray(local).reshape(-1), ty - 1
+    for d in range(2, tx + ty - 1) if min(tx, ty) > 1 else ():
+        lo, hi = max(1, d - step), min(tx - 1, d - 1)
+        start, stop = d + lo * step, d + hi * step + 1
+        here = flat[start:stop:step]
+        np.minimum(flat[start - ty - 1:stop - ty - 1:step], flat[start - ty:stop - ty:step],
+                   out=here)
+        np.minimum(here, flat[start - 1:stop - 1:step], out=here)
+        np.add(here, cost[start:stop:step], out=here)
 
     pairs = [(tx - 1, ty - 1)]
     i, j = tx - 1, ty - 1

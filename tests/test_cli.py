@@ -761,6 +761,23 @@ class TestEvaluate:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("empty_side", ["reference", "synthesized"])
+    def test_empty_wav_is_a_data_error(self, workspace, tmp_path, capsys, empty_side):
+        """A zero-sample WAV on either side exits 2 naming its file, and no
+        report is written."""
+        manifest = write_corpus(tmp_path, ENTRIES[:2])
+        empty = tmp_path / "audio" / "utt_001.wav"
+        dsp.write_wav(empty, dsp.Waveform(np.zeros(0), dsp.DEFAULT_SAMPLE_RATE))
+        out = tmp_path / "report.json"
+        manifests = [manifest, workspace["manifest"]]
+        if empty_side == "synthesized":
+            manifests.reverse()
+        assert cli.main(["evaluate", *manifests, "--out", str(out)]) == 2
+        error = last_error(capsys.readouterr().err)
+        assert error["kind"] == "data"
+        assert error["message"] == f"{empty}: no audio samples"
+        assert not out.exists()
+
 
 class TestCorpusFilter:
     def test_style_exclusion_counts(self, workspace, tmp_path, capsys):

@@ -1,8 +1,9 @@
 """Independent oracles for the hot paths: a per-band mel filterbank and a
-per-frame log-mel analysis, the exp/angle Griffin-Lim loop, a plain DP for the
-DTW, brute-force nearest codes for encoding, a dict-counted n-gram table, and
-the top-k ∩ nucleus candidate set for every drawn token. Faster rewrites of
-these paths must keep these properties."""
+per-frame log-mel analysis, the exp/angle Griffin-Lim loop, a plain DP and a
+row-by-row loop for the DTW, a per-frame YIN loop, brute-force nearest codes
+for encoding, a dict-counted n-gram table, and the top-k ∩ nucleus candidate
+set for every drawn token. Faster rewrites of these paths must keep these
+properties."""
 
 from collections import Counter, defaultdict
 from fractions import Fraction
@@ -192,6 +193,145 @@ def test_dtw_matches_plain_dp(local):
     assert [tuple(p) for p in pairs.tolist()] == want_path
     assert cost == want_cost
 
+
+
+def reference_dtw(local):
+    """The DTW as first written: the cumulative matrix filled one row at a
+    time with a scalar min of three, then the same traceback."""
+    tx, ty = local.shape
+    cum = np.empty_like(local)
+    cum[0, 0] = local[0, 0]
+    cum[0, 1:] = local[0, 1:].cumsum() + local[0, 0]
+    cum[1:, 0] = local[1:, 0].cumsum() + local[0, 0]
+    for i in range(1, tx):
+        row, prev = cum[i], cum[i - 1]
+        for j in range(1, ty):
+            best = prev[j - 1]  # diagonal preferred on ties
+            if prev[j] < best:
+                best = prev[j]
+            if row[j - 1] < best:
+                best = row[j - 1]
+            row[j] = local[i, j] + best
+    pairs = [(tx - 1, ty - 1)]
+    i, j = tx - 1, ty - 1
+    while i > 0 or j > 0:
+        if i == 0:
+            j -= 1
+        elif j == 0:
+            i -= 1
+        else:
+            diag, up, left = cum[i - 1, j - 1], cum[i - 1, j], cum[i, j - 1]
+            if diag <= up and diag <= left:
+                i, j = i - 1, j - 1
+            elif up <= left:
+                i -= 1
+            else:
+                j -= 1
+        pairs.append((i, j))
+    return np.array(pairs[::-1], dtype=np.int64), float(cum[-1, -1])
+
+
+@st.composite
+def dtw_costs(draw):
+    """Real costs, or small integer costs whose sums tie exactly."""
+    shape = (draw(st.integers(1, 40)), draw(st.integers(1, 40)))
+    elements = draw(st.sampled_from([st.floats(0.0, 1e3), st.integers(0, 3).map(float)]))
+    return draw(hnp.arrays(np.float64, shape, elements=elements))
+
+
+@given(dtw_costs())
+@example(np.arange(9.0).reshape(1, 9) % 2)
+@example(np.arange(9.0).reshape(9, 1) % 3)
+@example(np.asfortranarray(np.random.default_rng(5).integers(0, 3, (12, 7)).astype(float)))
+@settings(max_examples=200, deadline=None)
+def test_dtw_matches_row_loop_bit_for_bit(local):
+    """The anti-diagonal fill gives the row loop's path and cost exactly."""
+    pairs, cost = metrics._dtw_from_cost(local)
+    want_pairs, want_cost = reference_dtw(local)
+    assert np.array_equal(pairs, want_pairs)
+    assert cost == want_cost
+
+
+def reference_pick_f0(cmndf, tau_min, tau_max, threshold, sr, f0_floor, f0_ceil):
+    """Absolute-threshold lag pick plus parabolic refinement; 0 if unvoiced."""
+    below = np.nonzero(cmndf[tau_min - 1: tau_max] < threshold)[0]
+    if len(below) == 0:
+        return 0.0
+    tau = tau_min + below[0]
+    while tau < tau_max and cmndf[tau] < cmndf[tau - 1]:
+        tau += 1
+    # cmndf index i corresponds to lag i + 1
+    idx = tau - 1
+    refined = float(tau)
+    if 0 < idx < len(cmndf) - 1:
+        a, b, c = cmndf[idx - 1], cmndf[idx], cmndf[idx + 1]
+        denom = a - 2.0 * b + c
+        if denom > 0:
+            shift = 0.5 * (a - c) / denom
+            refined = tau + float(np.clip(shift, -1.0, 1.0))
+    f0 = sr / refined
+    if not (f0_floor <= f0 <= f0_ceil):
+        return 0.0
+    return f0
+
+
+def reference_estimate_f0(samples, sr, f0_floor, f0_ceil, hop, threshold):
+    """YIN as first written: one centred frame at a time, each with its own
+    energy cumsum, difference function, CMNDF and lag pick."""
+    tau_max = int(np.ceil(sr / f0_floor))
+    tau_min = max(2, int(np.floor(sr / f0_ceil)))
+    num_frames = -(-len(samples) // hop)
+    values = np.zeros(num_frames)
+    if num_frames == 0:
+        return values
+    window, seg_len = tau_max, 2 * tau_max
+    right = max(0, (num_frames - 1) * hop + seg_len - tau_max - len(samples))
+    padded = np.pad(samples, (tau_max, right), mode="reflect")
+    taus = np.arange(1, tau_max + 1)
+    for t in range(num_frames):
+        seg = padded[t * hop:t * hop + seg_len]
+        energy = np.cumsum(seg * seg)
+        e_lag = energy[taus + window - 1] - energy[taus - 1]
+        corr = np.correlate(seg, seg[:window], mode="valid")[1:]
+        diff = np.maximum(energy[window - 1] + e_lag - 2.0 * corr, 0.0)
+        denom = np.cumsum(diff)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cmndf = np.where(denom > 0, diff * taus / denom, 1.0)
+        values[t] = reference_pick_f0(cmndf, tau_min, tau_max, threshold, sr,
+                                      f0_floor, f0_ceil)
+    return values
+
+
+@st.composite
+def yin_inputs(draw):
+    """Silence, sine or square tones near the floor or the ceiling, noise, or a
+    mixture, from one sample up to past several frames, with varied analysis
+    settings. Square tones above the ceiling make the parabola through the
+    picked lag open downwards, where no refinement applies."""
+    sr = draw(st.sampled_from([8000, 16000]))
+    f0_floor = draw(st.floats(50.0, 300.0))
+    f0_ceil = draw(st.floats(f0_floor * 1.05, min(1000.0, 0.45 * sr)))
+    tau_max = int(np.ceil(sr / f0_floor))
+    hop = draw(st.integers(1, 600))
+    n = draw(st.one_of(st.integers(1, hop), st.integers(1, tau_max), st.integers(1, 4000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    t = np.arange(n) / sr
+    tone = np.sin(2 * np.pi * draw(st.sampled_from([f0_floor, f0_ceil]))
+                  * draw(st.floats(0.9, 1.1)) * t)
+    noise = rng.standard_normal(n)
+    x = draw(st.sampled_from([np.zeros(n), 0.5 * tone, 0.5 * np.sign(tone), 0.3 * noise,
+                              0.5 * tone + draw(st.floats(0.0, 0.5)) * noise]))
+    return x, sr, f0_floor, f0_ceil, hop, draw(st.floats(0.01, 0.6))
+
+
+@given(yin_inputs())
+@settings(max_examples=200, deadline=None)
+def test_estimate_f0_matches_per_frame_loop(case):
+    """Framing and picking all frames at once gives the per-frame loop's bits."""
+    x, sr, f0_floor, f0_ceil, hop, threshold = case
+    track = dsp.estimate_f0(dsp.Waveform(x, sr), f0_floor, f0_ceil, hop, threshold)
+    assert np.array_equal(track.values,
+                          reference_estimate_f0(x, sr, f0_floor, f0_ceil, hop, threshold))
 
 @st.composite
 def codec_and_frames(draw):
