@@ -17,7 +17,7 @@ import numpy as np
 from duss import cli
 from duss.codec import decode, encode, train_codebooks
 from duss.dsp import mel_cepstrum
-from duss.errors import ValidationError
+from duss.errors import ValidationError, atomic_write
 from duss.metrics import mcd, measured_bitrate, nominal_bitrate
 
 
@@ -60,7 +60,7 @@ def sweep(args) -> int:
               f"{row['measured_bitrate_bps']:>13.2f}")
 
     if args.out:
-        with open(args.out, "w") as fh:
+        with atomic_write(args.out) as fh:
             json.dump({"rows": rows, "seed": seed,
                        "num_quantizers": cfg.codec.num_quantizers}, fh, indent=2)
             fh.write("\n")

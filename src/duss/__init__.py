@@ -13,11 +13,9 @@ from .codec import (
 )
 from .containers import (
     load_codec,
-    load_features,
     load_ngram,
     load_tokens,
     save_codec,
-    save_features,
     save_ngram,
     save_tokens,
 )
@@ -81,10 +79,10 @@ __all__ = [
     "TuningHistory", "UtteranceEntry", "ValidationError", "Waveform",
     "analyze", "apply_temperature", "decode", "encode",
     "estimate_f0", "filter_by_score", "filter_candidates", "filter_styles",
-    "generate", "griffin_lim", "load_codec", "load_features", "load_manifest",
+    "generate", "griffin_lim", "load_codec", "load_manifest",
     "load_ngram", "load_tokens", "log_f0_rmse", "mcd", "measured_bitrate",
     "mel_cepstrum", "mel_filterbank", "nominal_bitrate", "param_importance",
-    "read_wav", "resample", "sample_token", "save_codec", "save_features",
+    "read_wav", "resample", "sample_token", "save_codec",
     "save_manifest", "save_ngram", "save_tokens", "stft", "train_codebooks",
     "train_ngram", "tune", "write_wav",
 ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -22,7 +23,7 @@ from . import containers, corpus, dsp, metrics, sampler, toylm, tuner
 from .codec import CodecConfig, RvqCodec, TokenSequence, train_codebooks
 from .codec import decode as codec_decode
 from .codec import encode as codec_encode
-from .errors import DataError, ValidationError, read_lines
+from .errors import DataError, ValidationError, atomic_write, read_lines
 
 # One-flag reproductions of the submitted configurations: the three
 # single-stage acoustic systems with their best tuned sampling triples (the
@@ -184,12 +185,12 @@ def split_features(manifest_path, analysis: dsp.AnalysisConfig, exclude_styles=N
     return kept.entries, features, durations
 
 
-def _cepstrum_and_f0(path: str, cfg: PipelineConfig) -> tuple:
-    """Mel cepstrum and F0 track of one WAV, read and resampled once."""
-    wave, mel = _analyze_wav(path, cfg.codec.analysis)
+def _measured_wav(path: str, analysis: dsp.AnalysisConfig, n_coeffs: int) -> tuple:
+    """A WAV to measure, resampled, and its mel cepstrum; empty is a data error."""
+    wave, mel = _analyze_wav(path, analysis)
     if len(wave) == 0:
         raise DataError(f"{path}: no audio samples")
-    return dsp.mel_cepstrum(mel, cfg.n_coeffs), dsp.estimate_f0(wave, hop=cfg.codec.hop)
+    return wave, dsp.mel_cepstrum(mel, n_coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +229,15 @@ def cmd_decode(args) -> int:
     analysis = codec.config.analysis
 
     decoded = codec_decode(codec, seq)
-    if args.features_out:
-        containers.save_features(args.features_out, decoded)
+    if args.reference:
+        if seq.num_frames == 0:
+            raise DataError(f"{args.tokens}: no frames to compare with the reference")
+        ref_cep = _measured_wav(args.reference, analysis, cfg.n_coeffs)[1]
     wave = dsp.griffin_lim(decoded, analysis, iterations=cfg.gl_iterations)
     dsp.write_wav(args.out, wave)
     print(f"decoded {decoded.num_frames} frames -> {len(wave)} samples")
 
     if args.reference:
-        ref_cep = dsp.mel_cepstrum(_analyze_wav(args.reference, analysis)[1], cfg.n_coeffs)
         value = metrics.mcd(ref_cep, dsp.mel_cepstrum(decoded, cfg.n_coeffs))
         print(f"mcd_db: {value:.4f}")
     _diag("wav_written", path=args.out, samples=len(wave))
@@ -343,6 +345,7 @@ def cmd_evaluate(args) -> int:
     syn = _load_manifest_diag(args.synthesized)
     ref_base = os.path.dirname(os.path.abspath(args.reference))
     syn_base = os.path.dirname(os.path.abspath(args.synthesized))
+    analysis = cfg.codec.analysis
 
     syn_by_id = {e.id: e for e in syn.entries}
     pairs = [(e, syn_by_id[e.id]) for e in ref.entries if e.id in syn_by_id]
@@ -351,10 +354,12 @@ def cmd_evaluate(args) -> int:
 
     rows = []
     for ref_entry, syn_entry in pairs:
-        ref_cep, ref_f0 = _cepstrum_and_f0(os.path.join(ref_base, ref_entry.audio_path), cfg)
-        syn_cep, syn_f0 = _cepstrum_and_f0(os.path.join(syn_base, syn_entry.audio_path), cfg)
+        (ref_wave, ref_cep), (syn_wave, syn_cep) = (
+            _measured_wav(os.path.join(base, entry.audio_path), analysis, cfg.n_coeffs)
+            for base, entry in ((ref_base, ref_entry), (syn_base, syn_entry)))
         mcd_db = metrics.mcd(ref_cep, syn_cep)
-        f0_result = metrics.log_f0_rmse(ref_f0, syn_f0)
+        f0_result = metrics.log_f0_rmse(dsp.estimate_f0(ref_wave, hop=analysis.hop),
+                                        dsp.estimate_f0(syn_wave, hop=analysis.hop))
         if f0_result.no_overlap:
             _diag("warning", message=f"{ref_entry.id}: no shared voiced frames")
         rows.append({"id": ref_entry.id, "mcd_db": mcd_db,
@@ -375,7 +380,7 @@ def cmd_evaluate(args) -> int:
               "log_f0_rmse": float(np.mean([r["log_f0_rmse"] for r in rows])),
               "num_utterances": len(rows), "per_utterance": rows}
     if args.out:
-        with open(args.out, "w") as fh:
+        with atomic_write(args.out) as fh:
             fh.write(json.dumps(report, indent=2) + "\n")
     print(f"{'Bitrate (bps)':>14}  {'MCD (dB)':>10}  {'Log F0 RMSE':>12}")
     print(f"{bitrate:>14.2f}  {report['mcd_db']:>10.4f}  {report['log_f0_rmse']:>12.4f}")
@@ -483,6 +488,7 @@ def _add_overrides(parser: argparse.ArgumentParser, keys) -> None:
                             default=None, help=f"override {key}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="duss", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -508,8 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--reference", default=None,
                    help="reference WAV; prints round-trip MCD when given")
-    p.add_argument("--features-out", default=None,
-                   help="also write the decoded feature matrix")
     _add_settings(p, ["gl_iterations", "n_coeffs"])
     p.set_defaults(func=cmd_decode)
 

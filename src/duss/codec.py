@@ -257,4 +257,4 @@ def decode(codec: RvqCodec, tokens: TokenSequence) -> FeatureMatrix:
     out = np.zeros((tokens.num_frames, codec.config.feature_dim))
     for s in range(tokens.num_stages):
         out += codec.stages[s].vectors[tokens.tokens[s]]
-    return FeatureMatrix(data=out, frame_rate=tokens.frame_rate, kind=FeatureKind.DECODED)
+    return FeatureMatrix(out, tokens.frame_rate, FeatureKind.MEL_SPECTROGRAM)

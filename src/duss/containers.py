@@ -3,23 +3,21 @@
 Two formats:
 
 * "DUSS": u32 version, u32 kind, u64 T, u64 D, frame rate as two u64
-  (numerator, denominator), then a kind-specific payload. Kinds 1..3 are
-  feature matrices (row-major T x D f64), 5 is a trained codec, 6 is an
-  n-gram model. A codec's fixed block holds its whole config, analysis
-  included: the window is stored as its index in `dsp.WINDOW_NAMES`.
+  (numerator, denominator), then a kind-specific payload: 5 is a trained
+  codec, 6 an n-gram model. A codec's fixed block holds its whole config,
+  analysis included: the window is stored as its index in `dsp.WINDOW_NAMES`.
 * "DUST": u32 version, u32 V, u32 Q, u64 T, frame rate as two u64, then
   Q x T u32 tokens row-major by stage.
 
 Both formats are at version 3; files of any other version are rejected.
-Every save writes `<path>.tmp` and then moves it over `path`, so an
-interrupted save leaves no truncated file.
+Every save goes through `errors.atomic_write`, so an interrupted save leaves
+no truncated file.
 """
 
 from __future__ import annotations
 
 import contextlib
 import itertools
-import os
 import struct
 from fractions import Fraction
 from typing import Iterable
@@ -27,8 +25,8 @@ from typing import Iterable
 import numpy as np
 
 from .codec import Codebook, CodecConfig, RvqCodec, TokenSequence
-from .dsp import WINDOW_NAMES, FeatureKind, FeatureMatrix
-from .errors import DataError, ValidationError
+from .dsp import WINDOW_NAMES
+from .errors import DataError, ValidationError, atomic_write
 from .toylm import NgramModel
 
 MAGIC_DUSS = b"DUSS"
@@ -75,9 +73,9 @@ class _Reader:
                 f"{self.path}: {len(self.buf) - self.off} trailing bytes after payload")
 
 
-def _open(path, magic: bytes, kinds=()) -> tuple:
-    """Read a container and check its header; a DUSS file's kind must be in
-    `kinds`. Returns (reader, the three format fields, frame rate)."""
+def _open(path, magic: bytes, kind=None) -> tuple:
+    """Read a container and check its header; a DUSS file's kind must be
+    `kind`. Returns (reader, the three format fields, frame rate)."""
     with open(path, "rb") as fh:
         reader = _Reader(fh.read(), path)
     found, version, *fields, num, den = reader.take_struct(_HEADERS[magic])
@@ -88,28 +86,20 @@ def _open(path, magic: bytes, kinds=()) -> tuple:
         raise DataError(f"{path}: unsupported {name} version {version}")
     if den == 0:
         raise DataError(f"{path}: zero frame-rate denominator")
-    if kinds and fields[0] not in kinds:
-        raise DataError(f"{path}: found kind {fields[0]}, expected "
-                        + " or ".join(str(int(k)) for k in kinds))
+    if kind is not None and fields[0] != kind:
+        raise DataError(f"{path}: found kind {fields[0]}, expected {kind}")
     return reader, fields, Fraction(num, den)
 
 
 def _write(path, magic: bytes, fields: tuple, rate, payload: Iterable[bytes]) -> None:
-    """Write the header and the payload chunks to `<path>.tmp`, then move it
-    over `path`; on any failure the temporary file is removed and `path` is
-    left as it was."""
+    """Write the header and the payload chunks; `path` is left as it was if
+    any chunk fails."""
     rate = Fraction(rate)
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_HEADERS[magic].pack(magic, VERSION, *fields,
-                                          rate.numerator, rate.denominator))
-            for chunk in payload:
-                fh.write(chunk)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with atomic_write(path, "wb") as fh:
+        fh.write(_HEADERS[magic].pack(magic, VERSION, *fields,
+                                      rate.numerator, rate.denominator))
+        for chunk in payload:
+            fh.write(chunk)
 
 
 @contextlib.contextmanager
@@ -123,24 +113,6 @@ def _invalid_payload(path, what: str):
 
 def _f8(array) -> bytes:
     return np.ascontiguousarray(array, dtype="<f8").tobytes()
-
-
-# ---------------------------------------------------------------------------
-# Feature matrices
-
-
-def save_features(path, fm: FeatureMatrix) -> None:
-    _write(path, MAGIC_DUSS, (int(fm.kind), fm.num_frames, fm.dim), fm.frame_rate,
-           [_f8(fm.data)])
-
-
-def load_features(path) -> FeatureMatrix:
-    reader, (kind, t, d), rate = _open(path, MAGIC_DUSS, kinds=tuple(FeatureKind))
-    data = reader.take_array("<f8", t * d).reshape(t, d)
-    reader.done()
-    with _invalid_payload(path, "feature matrix"):
-        return FeatureMatrix(data=data.astype(np.float64), frame_rate=rate,
-                             kind=FeatureKind(kind))
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +138,7 @@ def save_codec(path, codec: RvqCodec) -> None:
 
 
 def load_codec(path) -> RvqCodec:
-    reader, (_, t, d), _ = _open(path, MAGIC_DUSS, kinds=(KIND_CODEC,))
+    reader, (_, t, d), _ = _open(path, MAGIC_DUSS, kind=KIND_CODEC)
     (v, q, hop, sample_rate, frame_len, window, feature_dim, kmeans_iters,
      seed) = reader.take_struct(_CODEC_FIXED)
     if (t, d) != (q, feature_dim):
@@ -277,7 +249,7 @@ def load_ngram(path) -> NgramModel:
     """Keep each row as stored. Only a payload that save_ngram writes loads
     (its context order and the canonical rule above), so a load allocates no
     more than the file holds and re-saving matches it."""
-    reader, (_, order, vocab_size), _ = _open(path, MAGIC_DUSS, kinds=(KIND_NGRAM,))
+    reader, (_, order, vocab_size), _ = _open(path, MAGIC_DUSS, kind=KIND_NGRAM)
     alpha, n_contexts = reader.take_struct(struct.Struct("<dQ"))
     with _invalid_payload(path, "model header"):
         _check_ngram_vocab(vocab_size)

@@ -9,7 +9,7 @@ import os
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .errors import DataError, ValidationError, check_json_types, read_lines
+from .errors import DataError, ValidationError, atomic_write, check_json_types, read_lines
 
 SPLITS = ("train", "dev", "test")
 
@@ -56,9 +56,6 @@ class CorpusManifest:
     def ids(self) -> List[str]:
         return [e.id for e in self.entries]
 
-    def style_tags(self) -> Set[str]:
-        return {e.style_tag for e in self.entries}
-
 
 def load_manifest(path) -> CorpusManifest:
     """Read a JSON-lines manifest; rows that fail to parse name their line.
@@ -86,7 +83,7 @@ def missing_audio(manifest: CorpusManifest, base_dir: str = ".") -> List[str]:
 
 def save_manifest(manifest: CorpusManifest, path) -> None:
     """Write one canonical JSON object per entry, keys in fixed order."""
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         for entry in manifest.entries:
             row = {name: getattr(entry, name) for name in _FIELD_TYPES}
             fh.write(json.dumps(row) + "\n")
@@ -121,7 +118,7 @@ def filter_by_score(manifest: CorpusManifest, scores: Dict[str, float],
 def write_style_scores(scored: Sequence[Tuple[UtteranceEntry, float]], path) -> None:
     """CSV of (style_tag, score) rows, one per scored utterance, for
     external distribution plotting."""
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["style_tag", "score"])
         for entry, score in scored:

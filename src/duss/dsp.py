@@ -17,7 +17,7 @@ from scipy import signal as sps
 from scipy.fft import dct as _scipy_dct
 from scipy.io import wavfile
 
-from .errors import DataError, ValidationError
+from .errors import DataError, ValidationError, atomic_write
 
 # Floor applied before log compression of mel energies.
 LOG_EPS = 1e-10
@@ -36,11 +36,10 @@ WINDOW_NAMES = ("hann", "hamming", "rectangular")
 
 
 class FeatureKind(enum.IntEnum):
-    """What a FeatureMatrix holds; values double as container kind codes."""
+    """What a FeatureMatrix holds: log-mel frames or their truncated cepstrum."""
 
     MEL_SPECTROGRAM = 1
     MEL_CEPSTRUM = 2
-    DECODED = 3
 
 
 @dataclass(frozen=True)
@@ -63,10 +62,6 @@ class Waveform:
             raise ValidationError(f"sample_rate must be positive, got {self.sample_rate}")
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
-
-    @property
-    def duration_seconds(self) -> float:
-        return len(self.samples) / self.sample_rate
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -280,7 +275,7 @@ def mel_cepstrum(mel: FeatureMatrix, n_coeffs: int) -> FeatureMatrix:
     Coefficient 0 carries the overall energy; the untruncated transform is
     exactly invertible.
     """
-    if mel.kind not in (FeatureKind.MEL_SPECTROGRAM, FeatureKind.DECODED):
+    if mel.kind != FeatureKind.MEL_SPECTROGRAM:
         raise ValidationError(f"mel_cepstrum expects log-mel input, got kind {mel.kind.name}")
     n_mels = mel.dim
     if not (1 <= n_coeffs <= n_mels):
@@ -365,7 +360,7 @@ def griffin_lim(mel: FeatureMatrix, cfg: AnalysisConfig,
     if iterations < 1:
         raise ValidationError(f"iterations must be >= 1, got {iterations}")
     _check_hop(cfg.frame_len, cfg.hop)
-    if mel.kind not in (FeatureKind.MEL_SPECTROGRAM, FeatureKind.DECODED):
+    if mel.kind != FeatureKind.MEL_SPECTROGRAM:
         raise ValidationError(f"griffin_lim expects log-mel input, got kind {mel.kind.name}")
     inv = _mel_inverse(cfg.sample_rate, cfg.frame_len, mel.dim, cfg.fmin, cfg.resolved_fmax())
     # least-squares inversion of the filterbank to linear power, clipped at zero
@@ -415,4 +410,5 @@ def read_wav(path) -> Waveform:
 
 def write_wav(path, w: Waveform) -> None:
     """Write a mono IEEE float32 WAV file."""
-    wavfile.write(path, w.sample_rate, w.samples.astype(np.float32))
+    with atomic_write(path, "wb") as fh:
+        wavfile.write(fh, w.sample_rate, w.samples.astype(np.float32))

@@ -1,10 +1,13 @@
-"""Exception types shared across the toolkit, and the readers of text inputs.
+"""Exception types shared across the toolkit, the readers of text inputs, and
+the one writer of output files.
 
 ValidationError covers bad parameters and violated preconditions (CLI exit
 code 1); DataError covers unreadable, malformed, or inconsistent data files
 (CLI exit code 2).
 """
 
+import contextlib
+import os
 from typing import Dict, List
 
 
@@ -37,3 +40,18 @@ def check_json_types(row: Dict, types: Dict) -> None:
         value = row[name]
         if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
             raise TypeError(f"{name} has type {type(value).__name__}")
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w", **kwargs):
+    """Open `<path>.tmp` for writing and move it over `path` once the block
+    ends; on any failure the temporary file is removed and `path` is left as
+    it was."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)

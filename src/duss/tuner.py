@@ -11,7 +11,7 @@ from typing import List, Protocol
 import numpy as np
 
 from .codec import RvqCodec, TokenSequence, decode
-from .errors import ValidationError
+from .errors import ValidationError, atomic_write
 from .sampler import DEFAULT_MAX_LEN, SamplingParams, generate
 
 PARAM_NAMES = ("k", "p", "temperature")
@@ -42,11 +42,6 @@ class SearchSpace:
         t_lo, t_hi = self.temp_range
         if not 0.0 < t_lo < t_hi < math.inf:
             raise ValidationError(f"bad temp_range {self.temp_range}")
-
-    def contains(self, params: SamplingParams) -> bool:
-        return (self.k_range[0] <= params.k <= self.k_range[1]
-                and self.p_range[0] <= params.p <= self.p_range[1]
-                and self.temp_range[0] <= params.temperature <= self.temp_range[1])
 
 
 @dataclass(frozen=True)
@@ -204,7 +199,7 @@ def _binned_variance(values: np.ndarray, scores: np.ndarray, bins: int) -> float
 
 def save_history_jsonl(history: TuningHistory, path) -> None:
     """One JSON object per trial: index, k, p, temperature, score, seed, flags."""
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         for t in history.trials:
             row = {"index": t.index, "k": t.params.k, "p": t.params.p,
                    "temperature": t.params.temperature, "score": t.score,

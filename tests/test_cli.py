@@ -3,6 +3,7 @@ main(), checking outputs, exit codes, and determinism."""
 
 import argparse
 import dataclasses
+import importlib.util
 import json
 import os
 import shutil
@@ -11,11 +12,12 @@ import struct
 import numpy as np
 import pytest
 
-from duss import cli, containers, corpus, dsp
+from duss import cli, containers, corpus, dsp, tuner
 from duss.codec import TokenSequence
 from duss.codec import encode as codec_encode
 from duss.dsp import read_wav
 from duss.errors import DataError, ValidationError
+from duss.sampler import SamplingParams
 
 from conftest import FRAME_RATE, write_corpus
 
@@ -113,9 +115,11 @@ class TestParsing:
                          "--window", "hamming"],
         lambda ws, out: ["generate", ws["lm"], ws["codec"], "--out-dir", out,
                          "--frame-len", "1024"],
+        lambda ws, out: ["decode", ws["codec"], ws["tokens"], "--out", out + ".wav",
+                         "--features-out", out],
     ], ids=["encode-preset", "train-lm-seed", "tune-preset", "corpus-filter-seed",
             "corpus-filter-config", "encode-frame-len", "encode-config", "decode-window",
-            "generate-frame-len"])
+            "generate-frame-len", "decode-features-out"])
     def test_flag_the_command_does_not_read_is_rejected(self, workspace, tmp_path, capsys,
                                                         argv):
         out = str(tmp_path / "out")
@@ -166,6 +170,19 @@ class TestParsing:
         flags = self._settings_flags()
         for name in ("encode", "decode", "generate", "tune"):
             assert not flags[name] & {"frame_len", "window", "hop", "sample_rate", "n_mels"}, name
+
+    def test_parser_is_built_once_and_keeps_no_state(self, workspace, tmp_path, capsys):
+        """main reuses one parser; a flag given to one call does not reach the next."""
+        assert cli.build_parser() is cli.build_parser()
+        parser = cli.build_parser()
+        evaluate = ["evaluate", workspace["manifest"], workspace["manifest"]]
+        assert parser.parse_args([*evaluate, "--n-coeffs", "5"]).n_coeffs == 5
+        assert parser.parse_args(evaluate).n_coeffs is None
+        lm = str(tmp_path / "lm.duss")
+        for flags, order in ((["--order", "2"], 2), ([], 3)):
+            assert cli.main(["train-lm", workspace["tokens"], "--out", lm, *flags]) == 0
+            assert containers.load_ngram(lm).order == order
+        capsys.readouterr()
 
     def test_missing_input_file_is_data_error(self, tmp_path, capsys):
         rc = cli.main(["train-codec", str(tmp_path / "nope.jsonl"),
@@ -445,8 +462,7 @@ class TestEncodeDecode:
     def test_decode_round_trip_mcd_below_threshold(self, workspace, tmp_path, capsys):
         out = tmp_path / "rec.wav"
         rc = cli.main(["decode", workspace["codec"], workspace["tokens"],
-                       "--out", str(out), "--reference", workspace["audio0"],
-                       "--features-out", str(tmp_path / "dec.duss")])
+                       "--out", str(out), "--reference", workspace["audio0"]])
         assert rc == 0
         lines = capsys.readouterr().out.splitlines()
         assert "decoded 20 frames -> 9600 samples" in lines
@@ -454,7 +470,6 @@ class TestEncodeDecode:
         # regression bound from the reference run of this fixture (7.9068)
         assert float(mcd_line.split(":")[1]) < 9.0
         assert len(read_wav(out)) == 9600
-        assert containers.load_features(tmp_path / "dec.duss").num_frames == 20
 
     def test_decode_rerun_byte_identical(self, workspace, tmp_path, capsys):
         a, b = tmp_path / "a.wav", tmp_path / "b.wav"
@@ -474,6 +489,39 @@ class TestEncodeDecode:
         assert rc == 0
         assert "decoded 0 frames -> 0 samples" in capsys.readouterr().out
         assert len(read_wav(out)) == 0
+
+    @pytest.mark.parametrize("empty_side", ["reference", "tokens"])
+    def test_decode_reference_with_an_empty_side_is_a_data_error(self, workspace, tmp_path,
+                                                                 capsys, empty_side):
+        """A zero-sample reference WAV or a zero-frame token file exits 2 naming
+        the file, before the output WAV is written."""
+        argv = {"tokens": workspace["tokens"], "reference": workspace["audio0"]}
+        empty = tmp_path / ("empty.wav" if empty_side == "reference" else "empty.dust")
+        if empty_side == "reference":
+            dsp.write_wav(empty, dsp.Waveform(np.zeros(0), dsp.DEFAULT_SAMPLE_RATE))
+        else:
+            containers.save_tokens(empty, TokenSequence(
+                tokens=np.zeros((2, 0), dtype=np.int64), vocab_size=16, frame_rate=FRAME_RATE))
+        argv[empty_side] = str(empty)
+        out = tmp_path / "rec.wav"
+        rc = cli.main(["decode", workspace["codec"], argv["tokens"], "--out", str(out),
+                       "--reference", argv["reference"]])
+        assert rc == 2
+        error = last_error(capsys.readouterr().err)
+        assert error["kind"] == "data"
+        assert error["message"].startswith(f"{empty}: no ")
+        assert not out.exists()
+
+    def test_decode_rejects_a_feature_file_as_codec(self, workspace, tmp_path, capsys):
+        """Feature matrices (kind 1) are no longer a container kind."""
+        features = tmp_path / "mel.duss"
+        features.write_bytes(containers._HEADERS[containers.MAGIC_DUSS].pack(
+            b"DUSS", containers.VERSION, 1, 1, 1, 100, 3) + bytes(8))
+        rc = cli.main(["decode", str(features), workspace["tokens"],
+                       "--out", str(tmp_path / "x.wav")])
+        assert rc == 2
+        assert last_error(capsys.readouterr().err)["message"] == (
+            f"{features}: found kind 1, expected 5")
 
     def test_decode_rejects_zero_gl_iterations(self, workspace, tmp_path, capsys):
         empty = tmp_path / "empty.dust"
@@ -790,7 +838,7 @@ class TestCorpusFilter:
         assert "kept 6 of 8 utterances" in stdout
         from duss.corpus import load_manifest
         kept = load_manifest(out)
-        assert "whisper" not in kept.style_tags()
+        assert "whisper" not in {e.style_tag for e in kept.entries}
 
     def test_score_threshold_with_csv(self, workspace, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
@@ -900,3 +948,50 @@ class TestCorpusFilter:
                              "laughing"]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+
+def _vocoder_track_report(ws, out):
+    spec = importlib.util.spec_from_file_location("run_vocoder_track", os.path.join(
+        os.path.dirname(__file__), os.pardir, "scripts", "run_vocoder_track.py"))
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script.main([ws["manifest"], "--codebook-sizes", "4", "--kmeans-iters", "2",
+                        "--out", out])
+
+
+# Each output writer, given the workspace and a target path; a command returns
+# its exit code, a library writer None.
+WRITERS = {
+    "container": lambda ws, out: containers.save_tokens(out, containers.load_tokens(ws["tokens"])),
+    "wav": lambda ws, out: dsp.write_wav(out, dsp.Waveform(np.zeros(8), 16000)),
+    "manifest": lambda ws, out: corpus.save_manifest(corpus.load_manifest(ws["manifest"]), out),
+    "style-scores": lambda ws, out: corpus.write_style_scores(
+        [(e, 1.0) for e in corpus.load_manifest(ws["manifest"]).entries], out),
+    "tune-history": lambda ws, out: tuner.save_history_jsonl(tuner.TuningHistory(
+        [tuner.Trial(0, SamplingParams(), 1.0, 0)]), out),
+    "evaluate-report": lambda ws, out: cli.main(
+        ["evaluate", ws["manifest"], ws["shifted"], "--out", out]),
+    "vocoder-track-report": _vocoder_track_report,
+}
+
+
+@pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS.keys())
+def test_interrupted_write_keeps_the_previous_file(workspace, tmp_path, monkeypatch, capsys,
+                                                   write):
+    """Every output goes to `<path>.tmp` and is moved over `path` last: when that
+    move fails, the file already at `path` keeps its bytes and no `.tmp` stays."""
+    out = tmp_path / "out"
+    out.write_bytes(b"previous bytes")
+
+    def interrupted(src, dst):
+        raise OSError("interrupted")
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    try:
+        rc = write(workspace, str(out))
+    except OSError:
+        rc = 2  # what `duss` exits with for an OSError
+    capsys.readouterr()
+    assert rc == 2
+    assert out.read_bytes() == b"previous bytes"
+    assert os.listdir(tmp_path) == ["out"]

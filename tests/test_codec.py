@@ -242,7 +242,7 @@ class TestEncodeDecode:
         codec, fm = tiny_codec
         rec = cd.decode(codec, cd.encode(codec, fm))
         assert np.all(np.isfinite(rec.data))
-        assert rec.kind == cd.FeatureKind.DECODED
+        assert rec.kind == cd.FeatureKind.MEL_SPECTROGRAM
 
     def test_dimension_mismatch_rejected(self, tiny_codec):
         codec, _ = tiny_codec

@@ -14,12 +14,11 @@ from hypothesis import strategies as st
 
 from duss import containers as ct
 from duss.codec import CodecConfig, RvqCodec, TokenSequence, train_codebooks
-from duss.dsp import FeatureKind, FeatureMatrix
 from duss.errors import DataError, ValidationError
 from duss.sampler import SamplingParams, generate
 from duss.toylm import NgramModel, train_ngram
 
-from conftest import FRAME_RATE, make_feature_matrix
+from conftest import FRAME_RATE
 
 
 def corrupt(path, offset, value_u32):
@@ -36,95 +35,63 @@ class TestFormatConstants:
 
     def test_kind_codes_are_frozen(self):
         # on-disk format constants; renumbering breaks existing files
-        assert int(FeatureKind.MEL_SPECTROGRAM) == 1
-        assert int(FeatureKind.MEL_CEPSTRUM) == 2
-        assert int(FeatureKind.DECODED) == 3
         assert ct.KIND_CODEC == 5
         assert ct.KIND_NGRAM == 6
 
 
-class TestFeatureFiles:
-    @pytest.mark.parametrize("kind", [FeatureKind.MEL_SPECTROGRAM,
-                                      FeatureKind.MEL_CEPSTRUM,
-                                      FeatureKind.DECODED])
-    def test_round_trip(self, tmp_path, kind):
-        rng = np.random.default_rng(0)
-        fm = make_feature_matrix(rng, 7, 5, kind=kind)
-        path = tmp_path / "fm.duss"
-        ct.save_features(path, fm)
-        got = ct.load_features(path)
-        np.testing.assert_array_equal(got.data, fm.data)
-        assert got.frame_rate == FRAME_RATE
-        assert got.kind == kind
+def _save_codec(path, tiny_codec):
+    ct.save_codec(path, tiny_codec[0])
+    return ct.load_codec
 
-    def test_empty_round_trip(self, tmp_path):
-        fm = FeatureMatrix(np.zeros((0, 80)), FRAME_RATE,
-                           FeatureKind.MEL_SPECTROGRAM)
-        path = tmp_path / "empty.duss"
-        ct.save_features(path, fm)
-        got = ct.load_features(path)
-        assert got.num_frames == 0
-        assert got.dim == 80
 
-    def test_exact_rational_rate_preserved(self, tmp_path):
-        fm = FeatureMatrix(np.zeros((2, 3)), Fraction(100, 3),
-                           FeatureKind.MEL_SPECTROGRAM)
-        path = tmp_path / "rate.duss"
-        ct.save_features(path, fm)
-        assert ct.load_features(path).frame_rate == Fraction(100, 3)
+def _save_tokens(path, tiny_codec):
+    ct.save_tokens(path, TokenSequence(tokens=np.array([[0, 3], [1, 2]]), vocab_size=4,
+                                       frame_rate=FRAME_RATE))
+    return ct.load_tokens
 
-    def test_repeated_saves_byte_identical(self, tmp_path):
-        rng = np.random.default_rng(1)
-        fm = make_feature_matrix(rng, 4, 4)
-        a, b = tmp_path / "a.duss", tmp_path / "b.duss"
-        ct.save_features(a, fm)
-        ct.save_features(b, fm)
-        assert a.read_bytes() == b.read_bytes()
 
-    def test_rejects_wrong_magic(self, tmp_path):
-        path = tmp_path / "bad.duss"
-        ct.save_features(path, make_feature_matrix(np.random.default_rng(0), 2, 2))
-        buf = bytearray(path.read_bytes())
-        buf[:4] = b"NOPE"
-        path.write_bytes(bytes(buf))
+def _save_ngram(path, tiny_codec):
+    ct.save_ngram(path, self_model())
+    return ct.load_ngram
+
+
+class TestEveryKind:
+    """Header and framing checks that every container kind shares."""
+
+    savers = pytest.mark.parametrize("save", [_save_codec, _save_tokens, _save_ngram],
+                                     ids=["codec", "tokens", "ngram"])
+
+    @savers
+    def test_rejects_wrong_magic(self, tmp_path, tiny_codec, save):
+        path = tmp_path / "bad.bin"
+        load = save(path, tiny_codec)
+        path.write_bytes(b"NOPE" + path.read_bytes()[4:])
         with pytest.raises(DataError, match="magic"):
-            ct.load_features(path)
+            load(path)
 
-    def test_rejects_wrong_version(self, tmp_path):
-        path = tmp_path / "bad.duss"
-        ct.save_features(path, make_feature_matrix(np.random.default_rng(0), 2, 2))
+    @savers
+    def test_rejects_wrong_version(self, tmp_path, tiny_codec, save):
+        path = tmp_path / "bad.bin"
+        load = save(path, tiny_codec)
         corrupt(path, 4, 99)
         with pytest.raises(DataError, match="version 99"):
-            ct.load_features(path)
+            load(path)
 
-    def test_rejects_truncation(self, tmp_path):
-        path = tmp_path / "cut.duss"
-        ct.save_features(path, make_feature_matrix(np.random.default_rng(0), 4, 4))
+    @savers
+    def test_rejects_truncation(self, tmp_path, tiny_codec, save):
+        path = tmp_path / "cut.bin"
+        load = save(path, tiny_codec)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(DataError, match="truncated"):
-            ct.load_features(path)
+            load(path)
 
-    def test_rejects_trailing_bytes(self, tmp_path):
-        path = tmp_path / "extra.duss"
-        ct.save_features(path, make_feature_matrix(np.random.default_rng(0), 2, 2))
+    @savers
+    def test_rejects_trailing_bytes(self, tmp_path, tiny_codec, save):
+        path = tmp_path / "extra.bin"
+        load = save(path, tiny_codec)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(DataError, match="trailing"):
-            ct.load_features(path)
-
-    def test_rejects_non_feature_kind(self, tmp_path, tiny_codec):
-        path = tmp_path / "codec.duss"
-        ct.save_codec(path, tiny_codec[0])
-        with pytest.raises(DataError, match="found kind 5, expected 1 or 2 or 3"):
-            ct.load_features(path)
-
-    def test_rejects_nan_feature(self, tmp_path):
-        path = tmp_path / "nan.duss"
-        ct.save_features(path, make_feature_matrix(np.random.default_rng(0), 3, 4))
-        buf = bytearray(path.read_bytes())
-        struct.pack_into("<d", buf, ct._HEADERS[ct.MAGIC_DUSS].size + 8, float("nan"))
-        path.write_bytes(bytes(buf))
-        with pytest.raises(DataError, match="invalid feature matrix"):
-            ct.load_features(path)
+            load(path)
 
 
 class TestCodecFiles:
@@ -253,9 +220,15 @@ class TestTokenFiles:
         with pytest.raises(DataError, match=r"token id 3 >= V=2 at stage 0, frame 1"):
             ct.load_tokens(path)
 
-    def test_rejects_duss_magic(self, tmp_path):
-        path = tmp_path / "fm.duss"
-        ct.save_features(path, make_feature_matrix(np.random.default_rng(0), 2, 2))
+    def test_exact_rational_rate_preserved(self, tmp_path):
+        path = tmp_path / "rate.dust"
+        ct.save_tokens(path, TokenSequence(tokens=np.zeros((1, 2), dtype=np.int64),
+                                           vocab_size=4, frame_rate=Fraction(100, 3)))
+        assert ct.load_tokens(path).frame_rate == Fraction(100, 3)
+
+    def test_rejects_duss_magic(self, tmp_path, tiny_codec):
+        path = tmp_path / "codec.duss"
+        ct.save_codec(path, tiny_codec[0])
         with pytest.raises(DataError, match="not a DUST"):
             ct.load_tokens(path)
 
@@ -447,23 +420,28 @@ class TestAtomicWrite:
 
 class TestDispatch:
     def test_wrong_kind_rejected(self, tmp_path, tiny_codec):
-        """Each loader accepts only its own kind codes."""
-        fm_path, lm_path = tmp_path / "fm.duss", tmp_path / "lm.duss"
-        ct.save_features(fm_path, tiny_codec[1])
+        """Each loader accepts only its own kind code; a feature matrix (kind 1,
+        no longer written) is a data error."""
+        fm_path, codec_path, lm_path = (tmp_path / n for n in ("fm.duss", "c.duss", "lm.duss"))
+        fm_path.write_bytes(ct._HEADERS[ct.MAGIC_DUSS].pack(b"DUSS", ct.VERSION, 1, 2, 2, 100, 3)
+                            + bytes(32))
+        ct.save_codec(codec_path, tiny_codec[0])
         ct.save_ngram(lm_path, self_model())
-        with pytest.raises(DataError, match="found kind 1, expected 5"):
+        with pytest.raises(DataError, match="found kind 1, expected 5$"):
             ct.load_codec(fm_path)
-        with pytest.raises(DataError, match="found kind 6, expected 5"):
+        with pytest.raises(DataError, match="found kind 6, expected 5$"):
             ct.load_codec(lm_path)
-        with pytest.raises(DataError, match="found kind 1, expected 6"):
+        with pytest.raises(DataError, match="found kind 1, expected 6$"):
             ct.load_ngram(fm_path)
+        with pytest.raises(DataError, match="found kind 5, expected 6$"):
+            ct.load_ngram(codec_path)
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "odd.duss"
         header = ct._HEADERS[ct.MAGIC_DUSS].pack(b"DUSS", ct.VERSION, 42, 0, 0, 0, 1)
         path.write_bytes(header)
         with pytest.raises(DataError, match="kind 42"):
-            ct.load_features(path)
+            ct.load_codec(path)
 
 
 def self_model():

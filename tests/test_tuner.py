@@ -22,6 +22,13 @@ def stop_model(context):
     return np.array([-50.0, -50.0, 0.0])
 
 
+def inside(space, params):
+    """Whether params lie in the closed ranges of space."""
+    return (space.k_range[0] <= params.k <= space.k_range[1]
+            and space.p_range[0] <= params.p <= space.p_range[1]
+            and space.temp_range[0] <= params.temperature <= space.temp_range[1])
+
+
 class ConstantScorer:
     def score(self, generated, ctx):
         return 1.0
@@ -57,14 +64,17 @@ class TestSearchSpace:
 
     def test_reduced_k_range_expressible(self):
         space = tn.SearchSpace(k_range=(5, 200))
-        assert space.contains(SamplingParams(k=200, p=0.5, temperature=0.5))
-        assert not space.contains(SamplingParams(k=201, p=0.5, temperature=0.5))
+        rng = np.random.default_rng(0)
+        ks = {tn.sample_params(space, rng).k for _ in range(4000)}
+        assert min(ks) == 5 and max(ks) == 200
 
     def test_contains(self):
+        """Every draw lies in the closed ranges, both k bounds included."""
         space = tn.SearchSpace(k_range=(10, 20))
-        assert space.contains(SamplingParams(k=10, p=0.1, temperature=1.0))
-        assert not space.contains(SamplingParams(k=9, p=0.5, temperature=0.5))
-        assert not space.contains(SamplingParams(k=15, p=0.05, temperature=0.5))
+        rng = np.random.default_rng(1)
+        draws = [tn.sample_params(space, rng) for _ in range(500)]
+        assert {d.k for d in draws} == set(range(10, 21))
+        assert all(inside(space, d) for d in draws)
 
     @pytest.mark.parametrize("kwargs", [
         dict(k_range=(0, 10)),
@@ -83,7 +93,7 @@ class TestSearchSpace:
         """k is drawn as an int64, so the widest range ends at 2**63 - 1."""
         space = tn.SearchSpace(k_range=(2 ** 63 - 2, 2 ** 63 - 1))
         params = tn.sample_params(space, np.random.default_rng(0))
-        assert space.contains(params)
+        assert inside(space, params)
 
 
 class TestTune:
@@ -109,7 +119,7 @@ class TestTune:
                                temp_range=(0.3, 0.7))
         rng = np.random.default_rng(seed)
         for _ in range(20):
-            assert space.contains(tn.sample_params(space, rng))
+            assert inside(space, tn.sample_params(space, rng))
 
     def test_recovers_temperature_optimum(self):
         """500 random trials on the temperature-dominated space land the best
