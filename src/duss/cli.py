@@ -226,20 +226,10 @@ def cmd_decode(args) -> int:
     cfg = build_pipeline_config(args)
     codec = containers.load_codec(args.codec)
     seq = containers.load_tokens(args.tokens)
-    analysis = codec.config.analysis
-
     decoded = codec_decode(codec, seq)
-    if args.reference:
-        if seq.num_frames == 0:
-            raise DataError(f"{args.tokens}: no frames to compare with the reference")
-        ref_cep = _measured_wav(args.reference, analysis, cfg.n_coeffs)[1]
-    wave = dsp.griffin_lim(decoded, analysis, iterations=cfg.gl_iterations)
+    wave = dsp.griffin_lim(decoded, codec.config.analysis, iterations=cfg.gl_iterations)
     dsp.write_wav(args.out, wave)
     print(f"decoded {decoded.num_frames} frames -> {len(wave)} samples")
-
-    if args.reference:
-        value = metrics.mcd(ref_cep, dsp.mel_cepstrum(decoded, cfg.n_coeffs))
-        print(f"mcd_db: {value:.4f}")
     _diag("wav_written", path=args.out, samples=len(wave))
     return 0
 
@@ -272,22 +262,19 @@ def generated_bitrate(sequences: List[TokenSequence]) -> float:
         nonempty, [s.num_frames / float(s.frame_rate) for s in nonempty])
 
 
-def print_tuning(history: tuner.TuningHistory, codec: RvqCodec,
-                 bins: int = tuner.DEFAULT_IMPORTANCE_BINS) -> None:
+def print_tuning(history: tuner.TuningHistory, codec: RvqCodec) -> None:
     """The best trial, then the parameter importance or why it is unavailable."""
     best = history.best_trial
     print(f"best: V={codec.config.codebook_size} k={best.params.k} "
           f"p={best.params.p:.3f} temperature={best.params.temperature:.3f} "
           f"score={best.score:.6g}")
-    min_trials = 2 * bins
-    finite = sum(1 for t in history.trials if not t.flagged)
-    if finite >= min_trials:
-        imp = tuner.param_importance(history, bins=bins)
+    try:
+        imp = tuner.param_importance(history)
+    except ValidationError as exc:
+        print(f"importance: unavailable ({exc})")
+    else:
         print(f"importance: k={imp['k']:.3f} p={imp['p']:.3f} "
               f"temperature={imp['temperature']:.3f}")
-    else:
-        print(f"importance: unavailable (needs >= {min_trials} finite trials, "
-              f"have {finite})")
 
 
 def cmd_generate(args) -> int:
@@ -333,7 +320,7 @@ def cmd_tune(args) -> int:
     history = tuner.tune(space, tuner.CentroidScorer(codec), model, args.dev_count,
                          n_trials=cfg.n_trials, seed=seed, max_len=cfg.max_len)
     tuner.save_history_jsonl(history, args.out)
-    print_tuning(history, codec, args.importance_bins)
+    print_tuning(history, codec)
     _diag("history_written", path=args.out, trials=len(history.trials),
           best_index=history.best)
     return 0
@@ -512,9 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("codec")
     p.add_argument("tokens")
     p.add_argument("--out", required=True)
-    p.add_argument("--reference", default=None,
-                   help="reference WAV; prints round-trip MCD when given")
-    _add_settings(p, ["gl_iterations", "n_coeffs"])
+    _add_settings(p, ["gl_iterations"])
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("train-lm", help="fit the token model on token files")
@@ -545,7 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--temp-max", type=float, default=space.temp_range[1])
     p.add_argument("--dev-count", type=positive_int, default=tuner.DEFAULT_DEV_COUNT,
                    help="generations scored per trial")
-    p.add_argument("--importance-bins", type=positive_int, default=tuner.DEFAULT_IMPORTANCE_BINS)
     _add_settings(p, ["n_trials", "max_len"], seed=True)
     p.set_defaults(func=cmd_tune)
 

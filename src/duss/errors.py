@@ -46,10 +46,15 @@ def check_json_types(row: Dict, types: Dict) -> None:
 def atomic_write(path, mode: str = "w", **kwargs):
     """Open `<path>.tmp` for writing and move it over `path` once the block
     ends; on any failure the temporary file is removed and `path` is left as
-    it was."""
+    it was. A temporary file that cannot be created raises DataError naming
+    `path`."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, mode, **kwargs) as fh:
+        fh = open(tmp, mode, **kwargs)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror}") from None
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     finally:

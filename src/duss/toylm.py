@@ -55,9 +55,10 @@ def train_ngram(corpora: Sequence[TokenSequence], n: int = DEFAULT_ORDER,
                 alpha: float = DEFAULT_ALPHA) -> NgramModel:
     """Accumulate context counts over token corpora.
 
-    Every stage stream of every sequence counts as one utterance, with the
-    stop id appended. All corpora must share the first one's token
-    vocabulary; the model's vocab_size is that V + 1, including stop.
+    Each sequence counts as one utterance: its stage-0 stream, the ids that
+    generation renders through the codec's first stage, with the stop id
+    appended. All corpora must share the first one's token vocabulary; the
+    model's vocab_size is that V + 1, including stop.
     """
     if not corpora:
         raise ValidationError("train_ngram needs at least one token sequence")
@@ -69,7 +70,7 @@ def train_ngram(corpora: Sequence[TokenSequence], n: int = DEFAULT_ORDER,
             raise ValidationError(
                 f"vocabulary mismatch: sequence has V={seq.vocab_size}, "
                 f"model expects V={vocab_size - 1}")
-        for stream in seq.tokens:
+        for stream in seq.tokens[:1]:
             utterance = stream.tolist() + [model.stop_id]
             for i, token in enumerate(utterance):
                 for length in range(min(n - 1, i) + 1):

@@ -172,8 +172,7 @@ def param_importance(history: TuningHistory, bins: int = DEFAULT_IMPORTANCE_BINS
         raise ValidationError(f"bins must be >= 1, got {bins}")
     trials = [t for t in history.trials if not t.flagged]
     if len(trials) < 2 * bins:
-        raise ValidationError(
-            f"need at least {2 * bins} finite trials for {bins} bins, got {len(trials)}")
+        raise ValidationError(f"needs >= {2 * bins} finite trials, have {len(trials)}")
     scores = np.array([t.score for t in trials])
     variances = {}
     for name in PARAM_NAMES:

@@ -3,6 +3,7 @@ main(), checking outputs, exit codes, and determinism."""
 
 import argparse
 import dataclasses
+import errno
 import importlib.util
 import json
 import os
@@ -32,6 +33,9 @@ ENTRIES = [("utt_000", 220.0, "read", "train"),
 
 TRAIN_ARGS = ["--codebook-size", "16", "--num-quantizers", "2",
               "--kmeans-iters", "15", "--seed", "3"]
+
+# The commands that take --config.
+CONFIG_COMMANDS = ["decode", "evaluate", "generate", "train-codec", "train-lm", "tune"]
 
 
 def diag_messages(err: str):
@@ -117,14 +121,20 @@ class TestParsing:
                          "--frame-len", "1024"],
         lambda ws, out: ["decode", ws["codec"], ws["tokens"], "--out", out + ".wav",
                          "--features-out", out],
+        lambda ws, out: ["decode", ws["codec"], ws["tokens"], "--out", out,
+                         "--reference", ws["audio0"]],
+        lambda ws, out: ["tune", ws["lm"], ws["codec"], "--out", out,
+                         "--importance-bins", "3"],
     ], ids=["encode-preset", "train-lm-seed", "tune-preset", "corpus-filter-seed",
             "corpus-filter-config", "encode-frame-len", "encode-config", "decode-window",
-            "generate-frame-len", "decode-features-out"])
+            "generate-frame-len", "decode-features-out", "decode-reference",
+            "tune-importance-bins"])
     def test_flag_the_command_does_not_read_is_rejected(self, workspace, tmp_path, capsys,
                                                         argv):
         out = str(tmp_path / "out")
         assert cli.main(argv(workspace, out)) == 1
-        assert "unrecognized arguments" in last_error(capsys.readouterr().err)["message"]
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "unrecognized arguments" in json.loads(line)["message"]
         assert not os.path.exists(out)
 
     @staticmethod
@@ -143,7 +153,7 @@ class TestParsing:
 
     def test_config_file_keys_are_the_settings_flags(self, tmp_path):
         """A command's --config file may set exactly the keys it has flags for:
-        25 (command, key) pairs over the six commands that take a file."""
+        24 (command, key) pairs over the six commands that take a file."""
         accepted = {}
         for name, p in self._subparsers().items():
             args = argparse.Namespace(**{a.dest: a.default for a in p._actions})
@@ -161,9 +171,21 @@ class TestParsing:
                 accepted[name].add(key)
         flags = self._settings_flags()
         assert accepted == {name: flags[name] for name in accepted}
-        assert sorted(accepted) == ["decode", "evaluate", "generate", "train-codec",
-                                    "train-lm", "tune"]
-        assert sum(len(keys) for keys in accepted.values()) == 25
+        assert sorted(accepted) == CONFIG_COMMANDS
+        assert sum(len(keys) for keys in accepted.values()) == 24
+
+    def test_readme_keys_table_matches_the_parser(self):
+        """README's table of the keys each command reads lists exactly each
+        --config command's settings flags."""
+        with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+            readme = fh.read()
+        table = readme.split("The keys each command reads:", 1)[1].split("\n\n")[1]
+        rows = {}
+        for line in table.splitlines()[2:]:
+            command, keys = (cell.strip(" `") for cell in line.strip("|").split("|"))
+            rows[command] = {key.strip(" `") for key in keys.split(",")}
+        flags = self._settings_flags()
+        assert rows == {name: flags[name] for name in CONFIG_COMMANDS}
 
     def test_codec_commands_take_no_analysis_flags(self):
         """A loaded codec carries its analysis settings; no flag restates them."""
@@ -460,16 +482,22 @@ class TestEncodeDecode:
         np.testing.assert_array_equal(containers.load_tokens(tokens).tokens, want.tokens)
 
     def test_decode_round_trip_mcd_below_threshold(self, workspace, tmp_path, capsys):
+        """`evaluate` measures the decoded WAV against the utterance it encodes."""
         out = tmp_path / "rec.wav"
-        rc = cli.main(["decode", workspace["codec"], workspace["tokens"],
-                       "--out", str(out), "--reference", workspace["audio0"]])
+        rc = cli.main(["decode", workspace["codec"], workspace["tokens"], "--out", str(out)])
         assert rc == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert "decoded 20 frames -> 9600 samples" in lines
-        mcd_line = [l for l in lines if l.startswith("mcd_db:")][0]
-        # regression bound from the reference run of this fixture (7.9068)
-        assert float(mcd_line.split(":")[1]) < 9.0
+        assert "decoded 20 frames -> 9600 samples" in capsys.readouterr().out.splitlines()
         assert len(read_wav(out)) == 9600
+        rec = tmp_path / "rec.jsonl"
+        rec.write_text(json.dumps({"id": "utt_000", "audio_path": "rec.wav", "style_tag": "read",
+                                   "duration": 0.6, "transcript": None, "split": "train"}) + "\n")
+        report = tmp_path / "report.json"
+        assert cli.main(["evaluate", workspace["manifest"], str(rec), "--out", str(report)]) == 0
+        capsys.readouterr()
+        result = json.loads(report.read_text())
+        assert result["num_utterances"] == 1
+        # regression bound from the reference run of this fixture (46.5743)
+        assert result["mcd_db"] < 53.0
 
     def test_decode_rerun_byte_identical(self, workspace, tmp_path, capsys):
         a, b = tmp_path / "a.wav", tmp_path / "b.wav"
@@ -489,28 +517,6 @@ class TestEncodeDecode:
         assert rc == 0
         assert "decoded 0 frames -> 0 samples" in capsys.readouterr().out
         assert len(read_wav(out)) == 0
-
-    @pytest.mark.parametrize("empty_side", ["reference", "tokens"])
-    def test_decode_reference_with_an_empty_side_is_a_data_error(self, workspace, tmp_path,
-                                                                 capsys, empty_side):
-        """A zero-sample reference WAV or a zero-frame token file exits 2 naming
-        the file, before the output WAV is written."""
-        argv = {"tokens": workspace["tokens"], "reference": workspace["audio0"]}
-        empty = tmp_path / ("empty.wav" if empty_side == "reference" else "empty.dust")
-        if empty_side == "reference":
-            dsp.write_wav(empty, dsp.Waveform(np.zeros(0), dsp.DEFAULT_SAMPLE_RATE))
-        else:
-            containers.save_tokens(empty, TokenSequence(
-                tokens=np.zeros((2, 0), dtype=np.int64), vocab_size=16, frame_rate=FRAME_RATE))
-        argv[empty_side] = str(empty)
-        out = tmp_path / "rec.wav"
-        rc = cli.main(["decode", workspace["codec"], argv["tokens"], "--out", str(out),
-                       "--reference", argv["reference"]])
-        assert rc == 2
-        error = last_error(capsys.readouterr().err)
-        assert error["kind"] == "data"
-        assert error["message"].startswith(f"{empty}: no ")
-        assert not out.exists()
 
     def test_decode_rejects_a_feature_file_as_codec(self, workspace, tmp_path, capsys):
         """Feature matrices (kind 1) are no longer a container kind."""
@@ -594,6 +600,18 @@ class TestTrainLm:
         assert rc == 1
         assert "alpha must be positive and finite" in last_error(capsys.readouterr().err)["message"]
         assert not out.exists()
+
+    def test_two_stage_file_trains_its_stage_zero_stream(self, workspace, tmp_path, capsys):
+        """`generate` renders every id through stage 0, so a two-stage token file
+        trains the same model as its stage-0 stream alone."""
+        seq = containers.load_tokens(workspace["tokens"])
+        assert seq.num_stages == 2
+        stage_zero, out = tmp_path / "stage0.dust", tmp_path / "lm.duss"
+        containers.save_tokens(stage_zero, TokenSequence(
+            tokens=seq.tokens[:1], vocab_size=seq.vocab_size, frame_rate=seq.frame_rate))
+        assert cli.main(["train-lm", str(stage_zero), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == open(workspace["lm"], "rb").read()
 
     def test_multiple_token_files(self, workspace, tmp_path, capsys):
         rc = cli.main(["train-lm", workspace["tokens"], workspace["tokens"],
@@ -707,7 +725,7 @@ class TestTune:
         assert rc == 0
         assert "importance: unavailable (needs >= 20" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("flag", ["--importance-bins", "--dev-count"])
+    @pytest.mark.parametrize("flag", ["--dev-count"])
     def test_count_below_one_rejected_before_any_trial(self, workspace, tmp_path,
                                                        capsys, flag):
         out = tmp_path / "h.jsonl"
@@ -995,3 +1013,18 @@ def test_interrupted_write_keeps_the_previous_file(workspace, tmp_path, monkeypa
     assert rc == 2
     assert out.read_bytes() == b"previous bytes"
     assert os.listdir(tmp_path) == ["out"]
+
+
+@pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS.keys())
+def test_write_into_a_missing_directory_names_the_path(workspace, tmp_path, capsys, write):
+    """An output that cannot be created is a DataError naming the path asked
+    for, not its temporary file, and nothing is written."""
+    out = tmp_path / "missing" / "out"
+    try:
+        rc = write(workspace, str(out))
+        message = last_error(capsys.readouterr().err)["message"]
+    except DataError as exc:
+        rc, message = 2, str(exc)
+    assert rc == 2
+    assert message == f"cannot write {out}: {os.strerror(errno.ENOENT)}"
+    assert os.listdir(tmp_path) == []

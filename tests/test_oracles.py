@@ -361,11 +361,11 @@ def test_encode_picks_brute_force_nearest_code(case):
 
 
 def count_table(corpora, order, stop):
-    """Next-token counts after every context of length < order, each stream
-    ending in the stop id."""
+    """Next-token counts after every context of length < order, over each
+    sequence's stage-0 stream ending in the stop id."""
     table = defaultdict(Counter)
     for seq in corpora:
-        for stream in seq.tokens.tolist():
+        for stream in seq.tokens.tolist()[:1]:
             utt = stream + [stop]
             for i, tok in enumerate(utt):
                 for length in range(min(order - 1, i) + 1):

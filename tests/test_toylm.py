@@ -50,14 +50,17 @@ class TestTrainNgram:
         probs = np.exp(toylm.logits(model, [0]))
         assert probs[1] > 1.0 - 1e-6
 
-    def test_each_stage_stream_counts_as_utterance(self):
-        seq = make_seq([[1, 2], [3, 4]], 6)
-        model = toylm.train_ngram([seq], n=1, alpha=0.1)
-        ids, counts = model.counts[()]
-        row = dict(zip(ids.tolist(), counts.tolist()))
-        assert row[6] == 2  # one stop per stream
-        for t in (1, 2, 3, 4):
-            assert row[t] == 1
+    def test_two_stage_sequence_counts_its_stage_zero_stream(self):
+        """Generation renders every id through stage 0, so a two-stage sequence
+        trains the counts of its stage-0 stream, with one stop per sequence."""
+        two_stage = toylm.train_ngram([make_seq([[1, 2], [3, 4]], 6)] * 2, n=2, alpha=0.1)
+        stage_zero = toylm.train_ngram([make_seq([1, 2], 6)] * 2, n=2, alpha=0.1)
+        assert two_stage.counts.keys() == stage_zero.counts.keys()
+        for ctx, (ids, counts) in stage_zero.counts.items():
+            np.testing.assert_array_equal(two_stage.counts[ctx][0], ids)
+            np.testing.assert_array_equal(two_stage.counts[ctx][1], counts)
+        ids, counts = two_stage.counts[()]
+        assert dict(zip(ids.tolist(), counts.tolist())) == {1: 2, 2: 2, 6: 2}
 
     def test_sparse_rows_hold_only_seen_tokens(self):
         """A large vocabulary costs nothing until its tokens are seen: each
