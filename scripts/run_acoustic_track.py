@@ -24,8 +24,7 @@ ACOUSTIC_PRESETS = ("acoustic-1024", "acoustic-512", "acoustic-256")
 
 
 def sweep(args) -> int:
-    seed = cli.resolve_seed(args)
-    configs = [cli.build_pipeline_config(argparse.Namespace(**vars(args), preset=name), seed)
+    configs = [cli.build_pipeline_config(argparse.Namespace(**vars(args), preset=name), args.seed)
                for name in ACOUSTIC_PRESETS]
     # Presets differ only in codec and sampling settings: one codec and LM per codec config.
     _, mels, _ = cli.split_features(args.manifest, configs[0].codec.analysis)
@@ -44,7 +43,7 @@ def sweep(args) -> int:
     for preset_index, (name, cfg) in enumerate(zip(ACOUSTIC_PRESETS, configs)):
         _, _, model = trained[cfg.codec]
         results = [generate(model, cfg.sampling, cfg.max_len,
-                            np.random.default_rng([seed, preset_index, i]),
+                            np.random.default_rng([args.seed, preset_index, i]),
                             frame_rate=cfg.codec.frame_rate) for i in range(args.count)]
         sequences = [r.sequence for r in results]
         params = cfg.sampling
@@ -56,7 +55,7 @@ def sweep(args) -> int:
     if args.tune_trials > 0:
         for cfg, codec, model in trained.values():
             history = tune(SearchSpace(), CentroidScorer(codec), model,
-                           n_trials=args.tune_trials, seed=seed, max_len=cfg.max_len)
+                           n_trials=args.tune_trials, seed=args.seed, max_len=cfg.max_len)
             cli.print_tuning(history, codec)
     return 0
 

@@ -18,7 +18,7 @@ from duss import cli
 from duss.codec import decode, encode, train_codebooks
 from duss.dsp import mel_cepstrum
 from duss.errors import ValidationError, atomic_write
-from duss.metrics import mcd, measured_bitrate, nominal_bitrate
+from duss.metrics import MCD_COEFFS, mcd, measured_bitrate, nominal_bitrate
 
 
 def parse_sizes(text: str):
@@ -29,8 +29,7 @@ def parse_sizes(text: str):
 
 
 def sweep(args) -> int:
-    seed = cli.resolve_seed(args)
-    cfg = cli.build_pipeline_config(args, seed)
+    cfg = cli.build_pipeline_config(args, args.seed)
     entries, mels, durations = cli.split_features(args.manifest, cfg.codec.analysis,
                                                   train_only=False)
     train_mels = [mel for entry, mel in zip(entries, mels) if entry.split == "train"]
@@ -42,8 +41,8 @@ def sweep(args) -> int:
         codec_cfg = dataclasses.replace(cfg.codec, codebook_size=vocab_size)
         codec = train_codebooks(train_mels, codec_cfg)
         token_files = [encode(codec, mel) for mel in mels]
-        distortions = [mcd(mel_cepstrum(mel, cfg.n_coeffs),
-                           mel_cepstrum(decode(codec, tokens), cfg.n_coeffs))
+        distortions = [mcd(mel_cepstrum(mel, MCD_COEFFS),
+                           mel_cepstrum(decode(codec, tokens), MCD_COEFFS))
                        for mel, tokens in zip(mels, token_files)]
         rows.append({
             "codebook_size": vocab_size,
@@ -61,7 +60,7 @@ def sweep(args) -> int:
 
     if args.out:
         with atomic_write(args.out) as fh:
-            json.dump({"rows": rows, "seed": seed,
+            json.dump({"rows": rows, "seed": args.seed,
                        "num_quantizers": cfg.codec.num_quantizers}, fh, indent=2)
             fh.write("\n")
         print(f"report: {args.out}")
@@ -72,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = cli._Parser(description=__doc__)
     parser.add_argument("manifest")
     parser.add_argument("--codebook-sizes", type=parse_sizes, default=[8, 64, 256])
-    cli._add_overrides(parser, ["num_quantizers", "kmeans_iters", "n_coeffs"])
+    cli._add_overrides(parser, ["num_quantizers", "kmeans_iters"])
     cli._add_seed(parser)
     parser.add_argument("--out", help="optional JSON report path")
     parser.set_defaults(func=sweep)

@@ -49,16 +49,12 @@ class PipelineConfig:
     n_trials: int = 300
     max_len: int = sampler.DEFAULT_MAX_LEN
     gl_iterations: int = dsp.DEFAULT_GL_ITERATIONS
-    n_coeffs: int = 13
 
     def __post_init__(self):
         if self.order < 1 or self.alpha <= 0:
             raise ValidationError("order must be >= 1 and alpha > 0")
         if self.n_trials < 1 or self.max_len < 1 or self.gl_iterations < 1:
             raise ValidationError("n_trials, max_len and gl_iterations must be >= 1")
-        if not (1 <= self.n_coeffs <= self.codec.feature_dim):
-            raise ValidationError(
-                f"n_coeffs must be in [1, {self.codec.feature_dim}], got {self.n_coeffs}")
 
 
 _SETTINGS_CLASSES = (CodecConfig, dsp.AnalysisConfig, sampler.SamplingParams, PipelineConfig)
@@ -135,19 +131,6 @@ def build_pipeline_config(args, seed: int = 0) -> PipelineConfig:
                  sampling=_fill(sampler.SamplingParams, v))
 
 
-def resolve_seed(args) -> int:
-    """--seed flag, else the DUSS_SEED environment variable, else 0."""
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("DUSS_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValidationError(f"DUSS_SEED must be an integer, got {env!r}")
-    return 0
-
-
 def _load_manifest_diag(path) -> corpus.CorpusManifest:
     """Load a manifest, warning once per audio file that does not exist."""
     manifest = corpus.load_manifest(path)
@@ -185,12 +168,13 @@ def split_features(manifest_path, analysis: dsp.AnalysisConfig, exclude_styles=N
     return kept.entries, features, durations
 
 
-def _measured_wav(path: str, analysis: dsp.AnalysisConfig, n_coeffs: int) -> tuple:
-    """A WAV to measure, resampled, and its mel cepstrum; empty is a data error."""
-    wave, mel = _analyze_wav(path, analysis)
+def _measured_wav(path: str) -> tuple:
+    """A WAV to measure, resampled to the one fixed analysis every codec is
+    measured at, and its mel cepstrum; empty is a data error."""
+    wave, mel = _analyze_wav(path, dsp.AnalysisConfig())
     if len(wave) == 0:
         raise DataError(f"{path}: no audio samples")
-    return wave, dsp.mel_cepstrum(mel, n_coeffs)
+    return wave, dsp.mel_cepstrum(mel, metrics.MCD_COEFFS)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +182,7 @@ def _measured_wav(path: str, analysis: dsp.AnalysisConfig, n_coeffs: int) -> tup
 
 
 def cmd_train_codec(args) -> int:
-    cfg = build_pipeline_config(args, resolve_seed(args))
+    cfg = build_pipeline_config(args, args.seed)
     entries, features, _ = split_features(args.manifest, cfg.codec.analysis,
                                           exclude_styles=args.exclude_styles)
     codec = train_codebooks(features, cfg.codec)
@@ -278,8 +262,7 @@ def print_tuning(history: tuner.TuningHistory, codec: RvqCodec) -> None:
 
 
 def cmd_generate(args) -> int:
-    seed = resolve_seed(args)
-    cfg = build_pipeline_config(args, seed)
+    cfg = build_pipeline_config(args, args.seed)
     model = containers.load_ngram(args.lm)
     codec = containers.load_codec(args.codec)
     _check_lm_codec(model, codec)
@@ -288,7 +271,7 @@ def cmd_generate(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     sequences: List[TokenSequence] = []
     for i in range(args.count):
-        rng = np.random.default_rng([seed, i])
+        rng = np.random.default_rng([args.seed, i])
         result = sampler.generate(model, cfg.sampling, cfg.max_len, rng,
                                   frame_rate=frame_rate)
         seq = result.sequence
@@ -308,17 +291,13 @@ def cmd_generate(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    seed = resolve_seed(args)
-    cfg = build_pipeline_config(args, seed)
+    cfg = build_pipeline_config(args, args.seed)
     model = containers.load_ngram(args.lm)
     codec = containers.load_codec(args.codec)
     _check_lm_codec(model, codec)
 
-    space = tuner.SearchSpace(k_range=(args.k_min, args.k_max),
-                              p_range=(args.p_min, args.p_max),
-                              temp_range=(args.temp_min, args.temp_max))
-    history = tuner.tune(space, tuner.CentroidScorer(codec), model, args.dev_count,
-                         n_trials=cfg.n_trials, seed=seed, max_len=cfg.max_len)
+    history = tuner.tune(tuner.SearchSpace(), tuner.CentroidScorer(codec), model, args.dev_count,
+                         n_trials=cfg.n_trials, seed=args.seed, max_len=cfg.max_len)
     tuner.save_history_jsonl(history, args.out)
     print_tuning(history, codec)
     _diag("history_written", path=args.out, trials=len(history.trials),
@@ -327,12 +306,10 @@ def cmd_tune(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = build_pipeline_config(args)
     ref = _load_manifest_diag(args.reference)
     syn = _load_manifest_diag(args.synthesized)
     ref_base = os.path.dirname(os.path.abspath(args.reference))
     syn_base = os.path.dirname(os.path.abspath(args.synthesized))
-    analysis = cfg.codec.analysis
 
     syn_by_id = {e.id: e for e in syn.entries}
     pairs = [(e, syn_by_id[e.id]) for e in ref.entries if e.id in syn_by_id]
@@ -342,11 +319,10 @@ def cmd_evaluate(args) -> int:
     rows = []
     for ref_entry, syn_entry in pairs:
         (ref_wave, ref_cep), (syn_wave, syn_cep) = (
-            _measured_wav(os.path.join(base, entry.audio_path), analysis, cfg.n_coeffs)
+            _measured_wav(os.path.join(base, entry.audio_path))
             for base, entry in ((ref_base, ref_entry), (syn_base, syn_entry)))
         mcd_db = metrics.mcd(ref_cep, syn_cep)
-        f0_result = metrics.log_f0_rmse(dsp.estimate_f0(ref_wave, hop=analysis.hop),
-                                        dsp.estimate_f0(syn_wave, hop=analysis.hop))
+        f0_result = metrics.log_f0_rmse(dsp.estimate_f0(ref_wave), dsp.estimate_f0(syn_wave))
         if f0_result.no_overlap:
             _diag("warning", message=f"{ref_entry.id}: no shared voiced frames")
         rows.append({"id": ref_entry.id, "mcd_db": mcd_db,
@@ -362,17 +338,21 @@ def cmd_evaluate(args) -> int:
     else:
         bitrate = 0.0
 
+    # Log-F0 RMSE is measured only where a pair shares a voiced frame; with
+    # no such pair there is no figure to report.
+    f0_rmses = [r["log_f0_rmse"] for r in rows if not r["f0_no_overlap"]]
+    log_f0 = float(np.mean(f0_rmses)) if f0_rmses else None
     report = {"bitrate_bps": bitrate,
               "mcd_db": float(np.mean([r["mcd_db"] for r in rows])),
-              "log_f0_rmse": float(np.mean([r["log_f0_rmse"] for r in rows])),
-              "num_utterances": len(rows), "per_utterance": rows}
+              "log_f0_rmse": log_f0, "num_utterances": len(rows), "per_utterance": rows}
     if args.out:
         with atomic_write(args.out) as fh:
             fh.write(json.dumps(report, indent=2) + "\n")
+    f0_text = "n/a" if log_f0 is None else f"{log_f0:.4f}"
     print(f"{'Bitrate (bps)':>14}  {'MCD (dB)':>10}  {'Log F0 RMSE':>12}")
-    print(f"{bitrate:>14.2f}  {report['mcd_db']:>10.4f}  {report['log_f0_rmse']:>12.4f}")
-    _diag("evaluated", utterances=len(rows),
-          mcd_db=report["mcd_db"], log_f0_rmse=report["log_f0_rmse"])
+    print(f"{bitrate:>14.2f}  {report['mcd_db']:>10.4f}  {f0_text:>12}")
+    _diag("evaluated", utterances=len(rows), f0_utterances=len(f0_rmses),
+          mcd_db=report["mcd_db"], log_f0_rmse=log_f0)
     return 0
 
 
@@ -450,8 +430,7 @@ def positive_int(text: str) -> int:
 
 
 def _add_seed(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None,
-                        help="global seed (falls back to DUSS_SEED, then 0)")
+    parser.add_argument("--seed", type=int, default=0, help="global seed")
 
 
 def _add_settings(parser: argparse.ArgumentParser, keys, seed: bool = False,
@@ -521,13 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("lm")
     p.add_argument("codec")
     p.add_argument("--out", required=True, help="JSON-lines trial history")
-    space = tuner.SearchSpace()
-    p.add_argument("--k-min", type=int, default=space.k_range[0])
-    p.add_argument("--k-max", type=int, default=space.k_range[1])
-    p.add_argument("--p-min", type=float, default=space.p_range[0])
-    p.add_argument("--p-max", type=float, default=space.p_range[1])
-    p.add_argument("--temp-min", type=float, default=space.temp_range[0])
-    p.add_argument("--temp-max", type=float, default=space.temp_range[1])
     p.add_argument("--dev-count", type=positive_int, default=tuner.DEFAULT_DEV_COUNT,
                    help="generations scored per trial")
     _add_settings(p, ["n_trials", "max_len"], seed=True)
@@ -541,7 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="codec file; reports its nominal bitrate")
     p.add_argument("--tokens", nargs="*", default=None,
                    help="token files; reports their measured bitrate")
-    _add_settings(p, ["hop", "sample_rate", "frame_len", "n_mels", "window", "n_coeffs"])
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("corpus-filter", help="style and score based selection")

@@ -17,6 +17,10 @@ from .errors import ValidationError
 # 10/ln(10) * sqrt(2), the usual mel-cepstral distortion scale factor.
 MCD_CONST = (10.0 / math.log(10.0)) * math.sqrt(2.0)
 
+# Mel-cepstral coefficients kept for MCD, the energy term c0 included: one
+# figure for `duss evaluate` and the vocoder track alike.
+MCD_COEFFS = 13
+
 # Alignment cost for a voiced/unvoiced mismatch when warping F0 tracks.
 VOICING_MISMATCH_COST = 1.0
 
@@ -157,12 +161,11 @@ def log_f0_rmse(ref: F0Track, syn: F0Track) -> LogF0Result:
         raise ValidationError(
             f"frame rate mismatch: {ref.frame_rate} vs {syn.frame_rate}")
     rv, sv = ref.voiced_mask, syn.voiced_mask
-    log_r = np.where(rv, np.log(np.where(rv, ref.values, 1.0)), 0.0)
-    log_s = np.where(sv, np.log(np.where(sv, syn.values, 1.0)), 0.0)
-    both = np.outer(rv, sv)
-    neither = np.outer(~rv, ~sv)
-    cost = np.where(both, np.abs(log_r[:, None] - log_s[None, :]),
-                    np.where(neither, 0.0, VOICING_MISMATCH_COST))
+    # An unvoiced frame reads ln 1 = 0, so two unvoiced frames cost exactly 0.
+    log_r = np.log(np.where(rv, ref.values, 1.0))
+    log_s = np.log(np.where(sv, syn.values, 1.0))
+    cost = np.where(rv[:, None] == sv[None, :], np.abs(log_r[:, None] - log_s[None, :]),
+                    VOICING_MISMATCH_COST)
     pairs, _ = _dtw_from_cost(cost)
     xi, yi = pairs[:, 0], pairs[:, 1]
     keep = rv[xi] & sv[yi]

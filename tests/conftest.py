@@ -1,5 +1,7 @@
-"""Shared fixtures: tones, synthetic corpora, and small trained codecs."""
+"""Shared fixtures: tones, synthetic corpora, small trained codecs, and the
+scripts under scripts/ as modules."""
 
+import importlib.util
 import json
 import os
 from fractions import Fraction
@@ -20,6 +22,15 @@ from duss import (
 
 SR = 16000
 FRAME_RATE = Fraction(100, 3)
+
+
+def load_script(name):
+    """A script under scripts/, imported as a module."""
+    spec = importlib.util.spec_from_file_location(name, os.path.join(
+        os.path.dirname(__file__), os.pardir, "scripts", name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def make_tone(freq: float, duration: float = 1.0, sr: int = SR,

@@ -299,13 +299,14 @@ class TestLogF0Rmse:
             mt.log_f0_rmse(F0Track(np.zeros(0), FRAME_RATE), track)
 
 
-def evaluate_pair(tmp_path, capsys, syn_ids=("a", "b")):
+def evaluate_pair(tmp_path, capsys, syn_ids=("a", "b"), silent=("sb",)):
     """Run `duss evaluate` on two tone utterances against a tone and a silence
-    (no voiced frame) under the given ids; return (exit code, stdout lines,
-    the --out path)."""
+    (no voiced frame) under the given ids, or against silence for each stem in
+    `silent`; return (exit code, stdout lines, the --out path, stderr events)."""
     t = np.arange(int(SR * 0.5)) / SR
-    waves = [0.4 * np.sin(2 * np.pi * 220.0 * t), 0.4 * np.sin(2 * np.pi * 330.0 * t),
-             0.4 * np.sin(2 * np.pi * 250.0 * t), np.zeros_like(t)]
+    tones = {"ra": 220.0, "rb": 330.0, "sa": 250.0, "sb": 250.0}
+    waves = [np.zeros_like(t) if stem in silent else 0.4 * np.sin(2 * np.pi * freq * t)
+             for stem, freq in tones.items()]
     for name, x in zip(["ra", "rb", "sa", "sb"], waves):
         write_wav(str(tmp_path / f"{name}.wav"), Waveform(x, SR))
     for manifest, ids, stems in (("ref.jsonl", ("a", "b"), ("ra", "rb")),
@@ -316,23 +317,43 @@ def evaluate_pair(tmp_path, capsys, syn_ids=("a", "b")):
     out = tmp_path / "report.json"
     rc = cli.main(["evaluate", str(tmp_path / "ref.jsonl"), str(tmp_path / "syn.jsonl"),
                    "--out", str(out)])
-    return rc, capsys.readouterr().out.splitlines(), out
+    captured = capsys.readouterr()
+    return (rc, captured.out.splitlines(), out,
+            [json.loads(line) for line in captured.err.splitlines()])
 
 
 class TestReporting:
     """`duss evaluate` writes the corpus report: per-utterance rows and their means."""
 
     def test_summarize_means(self, tmp_path, capsys):
-        rc, _, out = evaluate_pair(tmp_path, capsys)
+        """MCD averages every pair; log-F0 RMSE only the pairs that share a
+        voiced frame, and the `evaluated` line counts them."""
+        rc, _, out, events = evaluate_pair(tmp_path, capsys)
         assert rc == 0
         report = json.loads(out.read_text())
         rows = report["per_utterance"]
         assert report["num_utterances"] == len(rows) == 2
         assert report["mcd_db"] == float(np.mean([r["mcd_db"] for r in rows])) > 0
-        assert report["log_f0_rmse"] == float(np.mean([r["log_f0_rmse"] for r in rows])) > 0
+        measured = [r["log_f0_rmse"] for r in rows if not r["f0_no_overlap"]]
+        assert len(measured) == 1
+        assert report["log_f0_rmse"] == measured[0] > 0
+        assert events[-1] == {"event": "evaluated", "utterances": 2, "f0_utterances": 1,
+                              "mcd_db": report["mcd_db"], "log_f0_rmse": measured[0]}
+
+    def test_no_voiced_overlap_reports_no_f0(self, tmp_path, capsys):
+        """With no pair sharing a voiced frame there is no log-F0 RMSE: JSON
+        null and `n/a` in the table, never 0 or NaN."""
+        rc, stdout, out, events = evaluate_pair(tmp_path, capsys, silent=("sa", "sb"))
+        assert rc == 0
+        text = out.read_text()
+        report = json.loads(text)
+        assert all(r["f0_no_overlap"] for r in report["per_utterance"])
+        assert report["log_f0_rmse"] is None and "NaN" not in text
+        assert stdout[1] == f"{0.0:>14.2f}  {report['mcd_db']:>10.4f}  {'n/a':>12}"
+        assert (events[-1]["f0_utterances"], events[-1]["log_f0_rmse"]) == (0, None)
 
     def test_json_payload(self, tmp_path, capsys):
-        rc, _, out = evaluate_pair(tmp_path, capsys)
+        rc, _, out, _ = evaluate_pair(tmp_path, capsys)
         assert rc == 0
         text = out.read_text()
         report = json.loads(text)
@@ -346,7 +367,7 @@ class TestReporting:
         assert (b["id"], b["log_f0_rmse"], b["f0_no_overlap"]) == ("b", 0.0, True)
 
     def test_table_column_order(self, tmp_path, capsys):
-        rc, stdout, out = evaluate_pair(tmp_path, capsys)
+        rc, stdout, out, _ = evaluate_pair(tmp_path, capsys)
         assert rc == 0
         report = json.loads(out.read_text())
         assert stdout == [" Bitrate (bps)    MCD (dB)   Log F0 RMSE",
@@ -354,6 +375,6 @@ class TestReporting:
                           f"{report['log_f0_rmse']:>12.4f}"]
 
     def test_summarize_requires_rows(self, tmp_path, capsys):
-        rc, stdout, out = evaluate_pair(tmp_path, capsys, syn_ids=("x", "y"))
+        rc, stdout, out, _ = evaluate_pair(tmp_path, capsys, syn_ids=("x", "y"))
         assert rc == 1
         assert stdout == [] and not out.exists()

@@ -1,12 +1,14 @@
 """Independent oracles for the hot paths: a per-band mel filterbank and a
 per-frame log-mel analysis, the exp/angle Griffin-Lim loop, a plain DP and a
-row-by-row loop for the DTW, a per-frame YIN loop, brute-force nearest codes
+row-by-row loop for the DTW, the both/neither log-F0 cost matrix, a per-frame
+YIN loop, brute-force nearest codes
 for encoding, a dict-counted n-gram table, and the top-k ∩ nucleus candidate
 set for every drawn token. Faster rewrites of these paths must keep these
 properties."""
 
 from collections import Counter, defaultdict
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -250,6 +252,44 @@ def test_dtw_matches_row_loop_bit_for_bit(local):
     want_pairs, want_cost = reference_dtw(local)
     assert np.array_equal(pairs, want_pairs)
     assert cost == want_cost
+
+
+def reference_log_f0_rmse(ref, syn):
+    """log_f0_rmse as first written, with its cost matrix: both-voiced and
+    neither-voiced outer masks select the log distance, 0 or the mismatch cost."""
+    rv, sv = ref.voiced_mask, syn.voiced_mask
+    log_r = np.where(rv, np.log(np.where(rv, ref.values, 1.0)), 0.0)
+    log_s = np.where(sv, np.log(np.where(sv, syn.values, 1.0)), 0.0)
+    both = np.outer(rv, sv)
+    neither = np.outer(~rv, ~sv)
+    cost = np.where(both, np.abs(log_r[:, None] - log_s[None, :]),
+                    np.where(neither, 0.0, metrics.VOICING_MISMATCH_COST))
+    pairs, _ = metrics._dtw_from_cost(cost)
+    xi, yi = pairs[:, 0], pairs[:, 1]
+    keep = rv[xi] & sv[yi]
+    if not np.any(keep):
+        return cost, metrics.LogF0Result(rmse=0.0, no_overlap=True, num_pairs=0)
+    diffs = log_r[xi[keep]] - log_s[yi[keep]]
+    return cost, metrics.LogF0Result(rmse=float(np.sqrt(np.mean(diffs * diffs))),
+                                     no_overlap=False, num_pairs=int(keep.sum()))
+
+
+f0_values = st.one_of(st.just(0.0), st.floats(50.0, 1000.0), st.sampled_from([110.0, 220.0]))
+
+
+@given(hnp.arrays(np.float64, st.integers(1, 59), elements=f0_values),
+       hnp.arrays(np.float64, st.integers(1, 59), elements=f0_values))
+@settings(max_examples=200, deadline=None)
+def test_log_f0_cost_matches_both_neither_masks(ref_values, syn_values):
+    """One voicing test builds the both/neither construction's bytes, so the
+    alignment and the RMSE are those of the old cost matrix."""
+    ref, syn = (dsp.F0Track(values=v, frame_rate=FRAME_RATE) for v in (ref_values, syn_values))
+    with mock.patch.object(metrics, "_dtw_from_cost", wraps=metrics._dtw_from_cost) as dtw:
+        result = metrics.log_f0_rmse(ref, syn)
+    want_cost, want = reference_log_f0_rmse(ref, syn)
+    (cost,) = dtw.call_args.args
+    assert cost.dtype == want_cost.dtype and cost.tobytes() == want_cost.tobytes()
+    assert result == want
 
 
 def reference_pick_f0(cmndf, tau_min, tau_max, threshold, sr, f0_floor, f0_ceil):

@@ -2,7 +2,6 @@
 the CLI's settings, defaults and error paths, and declare no setting of
 their own."""
 
-import importlib.util
 import json
 import os
 
@@ -10,16 +9,7 @@ import pytest
 
 from duss import cli
 
-SCRIPTS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
-
-
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(
-        name, os.path.join(SCRIPTS_DIR, name + ".py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
+from conftest import load_script
 
 vocoder = load_script("run_vocoder_track")
 acoustic = load_script("run_acoustic_track")
@@ -102,7 +92,7 @@ def test_vocoder_track_without_train_split_names_the_cause(demo_22k, capsys):
 @pytest.mark.parametrize("script", [vocoder, acoustic])
 def test_settings_flags_match_duss(script):
     """A settings key reaches a script only as duss's own flag, default None,
-    so the library's default applies; --seed falls back to DUSS_SEED."""
+    so the library's default applies; --seed defaults to 0, as in duss."""
     for action in script.build_parser()._actions:
         keys = {opt[2:].replace("-", "_") for opt in action.option_strings}
         if action.dest in cli._CONFIG_SCHEMA or keys & cli._CONFIG_SCHEMA.keys():
@@ -110,4 +100,16 @@ def test_settings_flags_match_duss(script):
             assert action.dest in cli._CONFIG_SCHEMA
             assert action.default is None, action.dest
         if action.dest == "seed":
-            assert action.default is None
+            assert action.default == 0
+
+
+def test_vocoder_track_has_no_n_coeffs_flag(demo_22k, tmp_path, capsys):
+    """MCD is always over metrics.MCD_COEFFS coefficients; the flag that set
+    them is a usage error that writes nothing."""
+    out = tmp_path / "report.json"
+    assert vocoder.main([demo_22k, "--n-coeffs", "5", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert "unrecognized arguments: --n-coeffs 5" in json.loads(line)["message"]
+    assert not out.exists()
