@@ -59,10 +59,10 @@ class PipelineConfig:
 
 _SETTINGS_CLASSES = (CodecConfig, dsp.AnalysisConfig, sampler.SamplingParams, PipelineConfig)
 
-# Configuration keys accepted in key=value files and as CLI flags: the
-# defaulted fields of the settings classes, minus those a user does not set
-# (the seed has its own flag, feature_dim follows n_mels, the mel band edges
-# stay at 0 Hz and Nyquist). Precedence is flags > file > preset > defaults.
+# Settings keys, each a CLI flag: the defaulted fields of the settings
+# classes, minus those a user does not set (the seed has its own flag,
+# feature_dim follows n_mels, the mel band edges stay at 0 Hz and Nyquist).
+# Precedence is flags > preset > defaults.
 _DEFAULTS = {f.name: f.default for cls in _SETTINGS_CLASSES for f in dataclasses.fields(cls)
              if f.default is not dataclasses.MISSING
              and f.name not in ("seed", "feature_dim", "fmin", "fmax")}
@@ -73,33 +73,10 @@ def _diag(event: str, **fields) -> None:
     print(json.dumps({"event": event, **fields}), file=sys.stderr)
 
 
-def parse_config_file(path, keys=_CONFIG_SCHEMA) -> Dict:
-    """Plain-text key=value settings, each one of `keys`; '#' starts a comment."""
-    values = {}
-    for line_no, line in enumerate(read_lines(path, "config file"), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValidationError(f"{path}:{line_no}: expected key=value, got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in keys:
-            raise ValidationError(
-                f"{path}:{line_no}: unknown key {key!r}, expected one of: {', '.join(keys)}")
-        try:
-            values[key] = _CONFIG_SCHEMA[key](value)
-        except ValueError:
-            raise ValidationError(
-                f"{path}:{line_no}: bad value {value!r} for {key} "
-                f"({_CONFIG_SCHEMA[key].__name__})")
-    return values
-
-
 def resolve_settings(args) -> Dict:
-    """Merge defaults, preset, config file, and explicit flags, in that order.
-    The settings a command reads are those it has flags for, so `args` has an
-    attribute for each; its config file may set only those."""
-    keys = [key for key in _CONFIG_SCHEMA if hasattr(args, key)]
+    """Merge defaults, preset and explicit flags, in that order. The settings
+    a command reads are those it has flags for, so `args` has an attribute
+    for each."""
     values = dict(_DEFAULTS)
     preset = getattr(args, "preset", None)
     if preset is not None:
@@ -107,13 +84,9 @@ def resolve_settings(args) -> Dict:
             raise ValidationError(
                 f"unknown preset {preset!r}, expected one of {sorted(PRESETS)}")
         values.update(PRESETS[preset])
-    config_path = getattr(args, "config", None)
-    if config_path is not None:
-        values.update(parse_config_file(config_path, keys))
-    for key in keys:
-        flag_value = getattr(args, key)
-        if flag_value is not None:
-            values[key] = flag_value
+    for key in _CONFIG_SCHEMA:
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
     return values
 
 
@@ -145,27 +118,21 @@ def _analyze_wav(path: str, analysis: dsp.AnalysisConfig) -> tuple:
     return wave, dsp.analyze(wave, analysis)
 
 
-def split_features(manifest_path, analysis: dsp.AnalysisConfig, exclude_styles=None,
+def split_features(manifest_path, analysis: dsp.AnalysisConfig,
                    train_only: bool = True) -> tuple:
-    """A manifest's train split (every entry unless train_only) minus the excluded
-    styles, with each WAV's features and seconds, resampled to the analysis rate."""
+    """A manifest's train split (every entry unless train_only), with each
+    WAV's features and seconds, resampled to the analysis rate."""
     manifest = _load_manifest_diag(manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
     entries = [e for e in manifest.entries if not train_only or e.split == "train"]
-    excluded = set(exclude_styles.split(",")) - {""} if exclude_styles else set()
-    kept, removed = corpus.filter_styles(corpus.CorpusManifest(entries=tuple(entries)),
-                                         excluded)
-    for tag, count in removed.items():
-        _diag("excluded_style", style_tag=tag, removed=count)
-    if len(kept) == 0:
-        raise ValidationError(f"no {'training ' if train_only else ''}utterances "
-                              "left after filtering")
+    if not entries:
+        raise ValidationError(f"{manifest_path}: no {'training ' if train_only else ''}utterances")
     features, durations = [], []
-    for entry in kept.entries:
+    for entry in entries:
         wave, feats = _analyze_wav(os.path.join(base, entry.audio_path), analysis)
         features.append(feats)
         durations.append(len(wave) / wave.sample_rate)
-    return kept.entries, features, durations
+    return entries, features, durations
 
 
 def _measured_wav(path: str) -> tuple:
@@ -183,8 +150,7 @@ def _measured_wav(path: str) -> tuple:
 
 def cmd_train_codec(args) -> int:
     cfg = build_pipeline_config(args, args.seed)
-    entries, features, _ = split_features(args.manifest, cfg.codec.analysis,
-                                          exclude_styles=args.exclude_styles)
+    entries, features, _ = split_features(args.manifest, cfg.codec.analysis)
     codec = train_codebooks(features, cfg.codec)
     containers.save_codec(args.out, codec)
 
@@ -326,7 +292,8 @@ def cmd_evaluate(args) -> int:
         if f0_result.no_overlap:
             _diag("warning", message=f"{ref_entry.id}: no shared voiced frames")
         rows.append({"id": ref_entry.id, "mcd_db": mcd_db,
-                     "log_f0_rmse": f0_result.rmse, "f0_no_overlap": f0_result.no_overlap})
+                     "log_f0_rmse": None if f0_result.no_overlap else f0_result.rmse,
+                     "f0_no_overlap": f0_result.no_overlap})
 
     if args.tokens:
         bitrate = generated_bitrate([containers.load_tokens(p) for p in args.tokens])
@@ -377,6 +344,12 @@ def cmd_corpus_filter(args) -> int:
         if args.style_scores_out:
             corpus.write_style_scores(scored, args.style_scores_out)
 
+    # A relative audio path is relative to its manifest's directory: re-root it at the output's.
+    in_dir, out_dir = (os.path.dirname(os.path.abspath(p)) for p in (args.manifest, args.out))
+    filtered = corpus.CorpusManifest(entries=[
+        e if os.path.isabs(e.audio_path) else dataclasses.replace(
+            e, audio_path=os.path.relpath(os.path.join(in_dir, e.audio_path), out_dir))
+        for e in filtered.entries])
     corpus.save_manifest(filtered, args.out)
     print(f"kept {len(filtered)} of {len(manifest)} utterances")
     _diag("manifest_written", path=args.out, kept=len(filtered),
@@ -435,12 +408,10 @@ def _add_seed(parser: argparse.ArgumentParser) -> None:
 
 def _add_settings(parser: argparse.ArgumentParser, keys, seed: bool = False,
                   preset: bool = False) -> None:
-    """An override flag per settings key the command reads, --config for a file
-    of those keys, plus --seed and --preset for the commands that read them."""
+    """An override flag per settings key the command reads, plus --seed and
+    --preset for the commands that read them."""
     if seed:
         _add_seed(parser)
-    parser.add_argument("--config", default=None,
-                        help="key=value settings file")
     if preset:
         parser.add_argument("--preset", default=None,
                             help=f"named configuration: {', '.join(sorted(PRESETS))}")
@@ -462,8 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-codec", help="fit the quantizer on a manifest")
     p.add_argument("manifest")
     p.add_argument("--out", required=True, help="output codec file")
-    p.add_argument("--exclude-styles", default=None,
-                   help="comma-separated style tags to drop")
     _add_settings(p, ["codebook_size", "num_quantizers", "hop", "sample_rate", "frame_len",
                       "n_mels", "window", "kmeans_iters"], seed=True, preset=True)
     p.set_defaults(func=cmd_train_codec)

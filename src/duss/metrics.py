@@ -12,7 +12,7 @@ from scipy.spatial.distance import cdist
 
 from .codec import TokenSequence
 from .dsp import F0Track, FeatureMatrix
-from .errors import ValidationError
+from .errors import DataError, ValidationError
 
 # 10/ln(10) * sqrt(2), the usual mel-cepstral distortion scale factor.
 MCD_CONST = (10.0 / math.log(10.0)) * math.sqrt(2.0)
@@ -23,6 +23,10 @@ MCD_COEFFS = 13
 
 # Alignment cost for a voiced/unvoiced mismatch when warping F0 tracks.
 VOICING_MISMATCH_COST = 1.0
+
+# Most cells in a DTW cost matrix (512 MiB of float64, ~4.1 min a side at hop
+# 480): a larger pair is a DataError raised before any matrix is built.
+MAX_DTW_CELLS = 2**26
 
 
 def nominal_bitrate(vocab_size: int, num_quantizers: int, frame_rate) -> float:
@@ -71,6 +75,11 @@ def _as_frames(x) -> np.ndarray:
     if data.ndim != 2:
         raise ValidationError(f"expected a 2-D frame matrix, got shape {data.shape}")
     return data
+
+
+def _check_dtw_size(tx: int, ty: int) -> None:
+    if tx * ty > MAX_DTW_CELLS:
+        raise DataError(f"DTW of {tx} x {ty} frames exceeds the {MAX_DTW_CELLS}-cell limit")
 
 
 def _dtw_from_cost(local: np.ndarray) -> Tuple[np.ndarray, float]:
@@ -136,6 +145,7 @@ def mcd(ref, syn) -> float:
         raise ValidationError(f"dimension mismatch: {ra.shape[1]} vs {sa.shape[1]}")
     if ra.shape[1] < 2:
         raise ValidationError("mcd needs at least 2 cepstral coefficients")
+    _check_dtw_size(len(ra), len(sa))
     dist = MCD_CONST * cdist(ra[:, 1:], sa[:, 1:])
     pairs, _ = _dtw_from_cost(dist)
     return float(np.mean(dist[pairs[:, 0], pairs[:, 1]]))
@@ -161,6 +171,7 @@ def log_f0_rmse(ref: F0Track, syn: F0Track) -> LogF0Result:
         raise ValidationError(
             f"frame rate mismatch: {ref.frame_rate} vs {syn.frame_rate}")
     rv, sv = ref.voiced_mask, syn.voiced_mask
+    _check_dtw_size(len(rv), len(sv))
     # An unvoiced frame reads ln 1 = 0, so two unvoiced frames cost exactly 0.
     log_r = np.log(np.where(rv, ref.values, 1.0))
     log_s = np.log(np.where(sv, syn.values, 1.0))

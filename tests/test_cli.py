@@ -6,6 +6,8 @@ import dataclasses
 import errno
 import json
 import os
+import re
+import shlex
 import shutil
 import struct
 
@@ -16,7 +18,7 @@ from duss import cli, containers, corpus, dsp, tuner
 from duss.codec import TokenSequence
 from duss.codec import encode as codec_encode
 from duss.dsp import read_wav
-from duss.errors import DataError, ValidationError
+from duss.errors import DataError
 from duss.sampler import SamplingParams
 
 from conftest import FRAME_RATE, load_script, write_corpus
@@ -33,8 +35,10 @@ ENTRIES = [("utt_000", 220.0, "read", "train"),
 TRAIN_ARGS = ["--codebook-size", "16", "--num-quantizers", "2",
               "--kmeans-iters", "15", "--seed", "3"]
 
-# The commands that take --config.
+# The commands that read settings.
 CONFIG_COMMANDS = ["decode", "generate", "train-codec", "train-lm", "tune"]
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def diag_messages(err: str):
@@ -131,11 +135,17 @@ class TestParsing:
         lambda ws, out: ["evaluate", ws["manifest"], ws["shifted"], "--out", out,
                          "--config", out + ".cfg"],
         lambda ws, out: ["tune", ws["lm"], ws["codec"], "--out", out, "--k-min", "2"],
+        lambda ws, out: ["train-codec", ws["manifest"], "--out", out,
+                         "--config", out + ".cfg"],
+        lambda ws, out: ["decode", ws["codec"], ws["tokens"], "--out", out,
+                         "--config", out + ".cfg"],
+        lambda ws, out: ["train-codec", ws["manifest"], "--out", out,
+                         "--exclude-styles", "whisper"],
     ], ids=["encode-preset", "train-lm-seed", "tune-preset", "corpus-filter-seed",
             "corpus-filter-config", "encode-frame-len", "encode-config", "decode-window",
             "generate-frame-len", "decode-features-out", "decode-reference",
             "tune-importance-bins", "evaluate-hop", "evaluate-n-coeffs", "evaluate-config",
-            "tune-k-min"])
+            "tune-k-min", "train-codec-config", "decode-config", "train-codec-exclude-styles"])
     def test_flag_the_command_does_not_read_is_rejected(self, workspace, tmp_path, capsys,
                                                         argv):
         out = str(tmp_path / "out")
@@ -158,33 +168,16 @@ class TestParsing:
     def test_every_settings_key_is_read_by_a_subcommand(self):
         assert set().union(*self._settings_flags().values()) == set(cli._CONFIG_SCHEMA)
 
-    def test_config_file_keys_are_the_settings_flags(self, tmp_path):
-        """A command's --config file may set exactly the keys it has flags for:
-        18 (command, key) pairs over the five commands that take a file."""
-        accepted = {}
-        for name, p in self._subparsers().items():
-            args = argparse.Namespace(**{a.dest: a.default for a in p._actions})
-            if not hasattr(args, "config"):
-                continue
-            accepted[name] = set()
-            for key, value in cli._DEFAULTS.items():
-                args.config = str(tmp_path / f"{name}-{key}.cfg")
-                with open(args.config, "w") as fh:
-                    fh.write(f"{key} = {value}\n")
-                try:
-                    cli.resolve_settings(args)
-                except ValidationError:
-                    continue
-                accepted[name].add(key)
-        flags = self._settings_flags()
-        assert accepted == {name: flags[name] for name in accepted}
-        assert sorted(accepted) == CONFIG_COMMANDS
-        assert sum(len(keys) for keys in accepted.values()) == 18
+    def test_eighteen_settings_flags_over_five_commands(self):
+        """18 (command, key) settings pairs, over the five commands that read settings."""
+        flags = {name: keys for name, keys in self._settings_flags().items() if keys}
+        assert sorted(flags) == CONFIG_COMMANDS
+        assert sum(len(keys) for keys in flags.values()) == 18
 
     def test_readme_keys_table_matches_the_parser(self):
         """README's table of the keys each command reads lists exactly each
-        --config command's settings flags."""
-        with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        settings command's settings flags."""
+        with open(README) as fh:
             readme = fh.read()
         table = readme.split("The keys each command reads:", 1)[1].split("\n\n")[1]
         rows = {}
@@ -198,15 +191,15 @@ class TestParsing:
         """Each subcommand's and each track script's flags, listed in full:
         adding or removing any flag is an edit of this ledger."""
         ledger = {
-            "train-codec": {"--out", "--exclude-styles", "--seed", "--config", "--preset",
-                            "--codebook-size", "--num-quantizers", "--hop", "--sample-rate",
-                            "--frame-len", "--n-mels", "--window", "--kmeans-iters"},
+            "train-codec": {"--out", "--seed", "--preset", "--codebook-size",
+                            "--num-quantizers", "--hop", "--sample-rate", "--frame-len",
+                            "--n-mels", "--window", "--kmeans-iters"},
             "encode": {"--out"},
-            "decode": {"--out", "--config", "--gl-iterations"},
-            "train-lm": {"--out", "--config", "--order", "--alpha"},
-            "generate": {"--out-dir", "--count", "--seed", "--config", "--preset", "--k",
-                         "--p", "--temperature", "--max-len", "--gl-iterations"},
-            "tune": {"--out", "--dev-count", "--seed", "--config", "--n-trials", "--max-len"},
+            "decode": {"--out", "--gl-iterations"},
+            "train-lm": {"--out", "--order", "--alpha"},
+            "generate": {"--out-dir", "--count", "--seed", "--preset", "--k", "--p",
+                         "--temperature", "--max-len", "--gl-iterations"},
+            "tune": {"--out", "--dev-count", "--seed", "--n-trials", "--max-len"},
             "evaluate": {"--out", "--codec", "--tokens"},
             "corpus-filter": {"--out", "--exclude-styles", "--min-score", "--scores",
                               "--style-scores-out"},
@@ -221,6 +214,43 @@ class TestParsing:
         flags = {name: {opt for a in p._actions for opt in a.option_strings}
                  - {"-h", "--help"} for name, p in parsers.items()}
         assert flags == ledger
+
+    def test_readme_commands_parse(self, monkeypatch):
+        """Each `duss` and `python3 scripts/` command in README's shell blocks,
+        backslash continuations joined, parses: a flag README shows that its
+        command does not take fails here. Parsing stops each command before it
+        opens a file."""
+        class Parsed(Exception):
+            pass
+
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def parse_only(parser, args=None, namespace=None):
+            parse_args(parser, args, namespace)
+            raise Parsed
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", parse_only)
+        with open(README) as fh:
+            shell = "".join(re.findall(r"```sh\n(.*?)```", fh.read(), re.S))
+        names, unparsed = set(), []
+        for line in shell.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line)
+            if argv[:1] == ["duss"]:
+                main, name, args = cli.main, argv[1], argv[1:]
+            elif argv[:1] == ["python3"] and argv[1].startswith("scripts/"):
+                name = os.path.basename(argv[1])
+                main, args = load_script(name[:-len(".py")]).main, argv[2:]
+            else:
+                continue
+            try:
+                main(args)
+            except Parsed:
+                names.add(name)
+            else:
+                unparsed.append(line.strip())
+        assert unparsed == []
+        assert names == set(self._subparsers()) | {
+            "make_demo_corpus.py", "run_vocoder_track.py", "run_acoustic_track.py"}
 
     def test_codec_commands_take_no_analysis_flags(self):
         """A loaded codec carries its analysis settings; no flag restates them."""
@@ -249,12 +279,10 @@ class TestParsing:
 
     @pytest.mark.parametrize("reader, argv", [
         (corpus.load_manifest, lambda ws, bad, out: ["train-codec", bad, "--out", out]),
-        (cli.parse_config_file, lambda ws, bad, out: [
-            "train-codec", ws["manifest"], "--out", out, "--config", bad]),
         (cli._read_score_csv, lambda ws, bad, out: [
             "corpus-filter", ws["manifest"], "--out", out, "--min-score", "0",
             "--scores", bad]),
-    ], ids=["manifest", "config", "scores"])
+    ], ids=["manifest", "scores"])
     def test_non_utf8_text_input_is_data_error(self, workspace, tmp_path, capsys,
                                                reader, argv):
         bad = str(tmp_path / "utf16.txt")
@@ -278,7 +306,7 @@ def output_bytes(path: str):
     return open(path, "rb").read()
 
 
-# Per command that takes --config: its argv without settings, a key it reads
+# Per command that reads settings: its argv without settings, a key it reads
 # with two values that give different outputs, and a key it does not read.
 SCOPE_CASES = {
     "train-codec": (lambda ws, out: ["train-codec", ws["manifest"], "--out", out,
@@ -300,41 +328,35 @@ SCOPE_CASES = {
 class TestConfigScope:
     @pytest.mark.parametrize("command", sorted(SCOPE_CASES))
     def test_read_key_takes_effect(self, workspace, tmp_path, capsys, command):
-        """The key set in a file gives the output of its flag, and another
-        value of the flag gives another output."""
-        argv, key, (value, other), _ = SCOPE_CASES[command]
-        flag = "--" + key.replace("_", "-")
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key} = {value}\n")
-        outputs = {}
-        for name, extra in (("file", ["--config", str(cfg)]), ("flag", [flag, value]),
-                            ("other", [flag, other])):
-            out = str(tmp_path / name)
-            assert cli.main(argv(workspace, out) + extra) == 0, name
-            outputs[name] = output_bytes(out)
+        """Two values of the key's flag give two outputs."""
+        argv, key, values, _ = SCOPE_CASES[command]
+        outputs = []
+        for value in values:
+            out = str(tmp_path / value)
+            assert cli.main(argv(workspace, out) + ["--" + key.replace("_", "-"), value]) == 0
+            outputs.append(output_bytes(out))
         capsys.readouterr()
-        assert outputs["file"] == outputs["flag"] != outputs["other"]
+        assert outputs[0] != outputs[1]
 
     @pytest.mark.parametrize("command", sorted(SCOPE_CASES))
     def test_unread_key_is_rejected_before_any_output(self, workspace, tmp_path, capsys,
                                                       command):
-        argv, key, (value, _), (unread, unread_value) = SCOPE_CASES[command]
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key} = {value}\n{unread} = {unread_value}\n")
+        argv, _, _, (unread, unread_value) = SCOPE_CASES[command]
+        flag = "--" + unread.replace("_", "-")
         out = tmp_path / "out"
-        assert cli.main(argv(workspace, str(out)) + ["--config", str(cfg)]) == 1
+        assert cli.main(argv(workspace, str(out)) + [flag, unread_value]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         event = json.loads(line)
         assert (event["event"], event["kind"]) == ("error", "validation")
-        assert event["message"].startswith(f"{cfg}:2: unknown key {unread!r}")
+        assert event["message"] == f"unrecognized arguments: {flag} {unread_value}"
         assert not out.exists()
 
 
 class TestSettings:
     def _args(self, **overrides):
-        ns = argparse.Namespace(preset=None, config=None)
+        ns = argparse.Namespace(preset=None)
         for key in cli._CONFIG_SCHEMA:
             setattr(ns, key, None)
         for key, value in overrides.items():
@@ -351,25 +373,14 @@ class TestSettings:
         assert (values["k"], values["p"], values["temperature"]) == (176, 0.521, 0.375)
         assert values["hop"] == cli._DEFAULTS["hop"]
 
-    def test_file_overrides_preset(self, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("codebook_size = 32  # small test run\n")
-        values = cli.resolve_settings(
-            self._args(preset="acoustic-512", config=str(cfg)))
+    def test_flag_overrides_preset(self):
+        values = cli.resolve_settings(self._args(preset="acoustic-512", codebook_size=32))
         assert values["codebook_size"] == 32
         assert values["k"] == 176  # preset value survives for untouched keys
 
-    def test_flag_overrides_file(self, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("codebook_size=32\ntemperature=0.25\n")
-        values = cli.resolve_settings(
-            self._args(config=str(cfg), codebook_size=4))
-        assert values["codebook_size"] == 4
-        assert values["temperature"] == 0.25
-
-    def test_every_key_reaches_pipeline_config(self, tmp_path):
-        """Each settings key, set in a config file, lands in every part of
-        the built config that has a field of that name."""
+    def test_every_key_reaches_pipeline_config(self):
+        """Each settings key, set by its flag, lands in every part of the
+        built config that has a field of that name."""
         values = {"codebook_size": 8, "num_quantizers": 3, "hop": 240,
                   "sample_rate": 24000, "kmeans_iters": 7, "frame_len": 1024,
                   "window": "hamming", "n_mels": 40, "k": 9, "p": 0.5,
@@ -377,9 +388,7 @@ class TestSettings:
                   "max_len": 12, "gl_iterations": 13}
         assert values.keys() == cli._CONFIG_SCHEMA.keys()
         assert all(values[key] != cli._DEFAULTS[key] for key in values)
-        cfg_file = tmp_path / "all.cfg"
-        cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
-        cfg = cli.build_pipeline_config(self._args(config=str(cfg_file)), seed=5)
+        cfg = cli.build_pipeline_config(self._args(**values), seed=5)
         parts = (cfg, cfg.codec, cfg.codec.analysis, cfg.sampling)
         for key, value in values.items():
             holders = [part for part in parts if hasattr(part, key)]
@@ -393,18 +402,6 @@ class TestSettings:
             for f in dataclasses.fields(cls):
                 if f.name in cli._DEFAULTS:
                     assert f.default == cli._DEFAULTS[f.name], (cls.__name__, f.name)
-
-    def test_config_file_unknown_key(self, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("codebook_size=8\nbogus=1\n")
-        with pytest.raises(ValidationError, match=r"exp\.cfg:2.*bogus"):
-            cli.parse_config_file(cfg)
-
-    def test_config_file_bad_value(self, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("codebook_size=many\n")
-        with pytest.raises(ValidationError, match="bad value"):
-            cli.parse_config_file(cfg)
 
 
 class TestTrainCodec:
@@ -431,20 +428,25 @@ class TestTrainCodec:
         assert error["kind"] == "data" and "ghost.wav" in error["message"]
 
     def test_only_excluded_styles_errors(self, workspace, tmp_path, capsys):
-        rc = cli.main(["train-codec", workspace["manifest"],
-                       "--out", str(tmp_path / "c.duss"),
-                       "--exclude-styles", "read,whisper,laughing"])
-        assert rc == 1
+        """A manifest that corpus-filter left without train rows trains nothing."""
+        kept, out = tmp_path / "kept.jsonl", tmp_path / "c.duss"
+        assert cli.main(["corpus-filter", workspace["manifest"], "--out", str(kept),
+                         "--exclude-styles", "read,whisper,laughing"]) == 0
+        assert cli.main(["train-codec", str(kept), "--out", str(out)]) == 1
         assert "no training utterances" in last_error(capsys.readouterr().err)["message"]
+        assert not out.exists()
 
     def test_style_exclusion_reduces_training_set(self, workspace, tmp_path, capsys):
-        out = tmp_path / "c.duss"
-        rc = cli.main(["train-codec", workspace["manifest"], "--out", str(out),
-                       "--exclude-styles", "whisper", *TRAIN_ARGS])
-        assert rc == 0
+        """corpus-filter re-roots the kept audio paths at its output, in another
+        directory here, so train-codec finds them and trains on the kept rows only."""
+        kept, out = tmp_path / "sel" / "kept.jsonl", tmp_path / "c.duss"
+        kept.parent.mkdir()
+        assert cli.main(["corpus-filter", workspace["manifest"], "--out", str(kept),
+                         "--exclude-styles", "whisper"]) == 0
+        assert cli.main(["train-codec", str(kept), "--out", str(out), *TRAIN_ARGS]) == 0
         diags = diag_messages(capsys.readouterr().err)
-        written = [d for d in diags if d["event"] == "codec_written"][0]
-        assert written["utterances"] == 4
+        assert [d["event"] for d in diags] == ["manifest_written", "codec_written"]
+        assert diags[1]["utterances"] == 4
 
     def test_rerun_byte_identical(self, workspace, tmp_path, capsys):
         a, b = tmp_path / "a.duss", tmp_path / "b.duss"
@@ -460,16 +462,6 @@ class TestTrainCodec:
                          "--hop", "4096"]) == 1
         assert "hop=4096, frame_len=2048" in last_error(capsys.readouterr().err)["message"]
         assert not out.exists()
-
-    def test_config_file_controls_codebook(self, workspace, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("codebook_size=8\nkmeans_iters=5\n")
-        out = tmp_path / "c.duss"
-        rc = cli.main(["train-codec", workspace["manifest"], "--out", str(out),
-                       "--config", str(cfg), "--seed", "0"])
-        assert rc == 0
-        capsys.readouterr()
-        assert containers.load_codec(out).config.codebook_size == 8
 
 
 class TestEncodeDecode:

@@ -16,7 +16,7 @@ from duss import metrics as mt
 from duss.codec import TokenSequence
 from duss.corpus import CorpusManifest, UtteranceEntry, save_manifest
 from duss.dsp import F0Track, FeatureKind, FeatureMatrix, Waveform, write_wav
-from duss.errors import ValidationError
+from duss.errors import DataError, ValidationError
 
 from conftest import FRAME_RATE, SR
 
@@ -249,6 +249,17 @@ class TestMcd:
         with pytest.raises(ValidationError):
             mt.mcd(np.zeros((3, 1)), np.zeros((3, 1)))
 
+    def test_refuses_a_pair_above_the_cell_cap(self, monkeypatch):
+        """Refused before any Tx x Ty matrix is built: the inputs are views of
+        one row, and 10**10 cells would not fit in memory."""
+        x = np.broadcast_to(np.zeros(13), (10**5, 13))
+        with pytest.raises(DataError, match="DTW of 100000 x 100000 frames"):
+            mt.mcd(x, x)
+        monkeypatch.setattr(mt, "MAX_DTW_CELLS", 12)
+        assert mt.mcd(np.zeros((3, 13)), np.zeros((4, 13))) == 0.0
+        with pytest.raises(DataError, match="DTW of 3 x 5 frames exceeds the 12-cell limit"):
+            mt.mcd(np.zeros((3, 13)), np.zeros((5, 13)))
+
 
 class TestLogF0Rmse:
     def test_identical_tracks(self):
@@ -297,6 +308,11 @@ class TestLogF0Rmse:
         track = F0Track(np.full(3, 100.0), FRAME_RATE)
         with pytest.raises(ValidationError, match="non-empty"):
             mt.log_f0_rmse(F0Track(np.zeros(0), FRAME_RATE), track)
+
+    def test_refuses_a_pair_above_the_cell_cap(self):
+        track = F0Track(np.full(10**5, 200.0), FRAME_RATE)
+        with pytest.raises(DataError, match="DTW of 100000 x 100000 frames"):
+            mt.log_f0_rmse(track, track)
 
 
 def evaluate_pair(tmp_path, capsys, syn_ids=("a", "b"), silent=("sb",)):
@@ -364,7 +380,14 @@ class TestReporting:
         a, b = report["per_utterance"]
         assert list(a) == ["id", "mcd_db", "log_f0_rmse", "f0_no_overlap"]
         assert (a["id"], a["f0_no_overlap"]) == ("a", False)
-        assert (b["id"], b["log_f0_rmse"], b["f0_no_overlap"]) == ("b", 0.0, True)
+        assert (b["id"], b["log_f0_rmse"], b["f0_no_overlap"]) == ("b", None, True)
+
+    def test_pair_above_the_dtw_cap_is_a_data_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(mt, "MAX_DTW_CELLS", 100)
+        rc, stdout, out, events = evaluate_pair(tmp_path, capsys)
+        assert (rc, stdout, out.exists()) == (2, [], False)
+        (event,) = events
+        assert event["kind"] == "data" and event["message"].endswith("-cell limit")
 
     def test_table_column_order(self, tmp_path, capsys):
         rc, stdout, out, _ = evaluate_pair(tmp_path, capsys)
