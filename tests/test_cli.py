@@ -378,6 +378,11 @@ class TestSettings:
         assert values["codebook_size"] == 32
         assert values["k"] == 176  # preset value survives for untouched keys
 
+    def test_flag_overrides_defaults(self):
+        values = cli.resolve_settings(self._args(codebook_size=4))
+        assert values["codebook_size"] == 4
+        assert values["temperature"] == cli._DEFAULTS["temperature"]
+
     def test_every_key_reaches_pipeline_config(self):
         """Each settings key, set by its flag, lands in every part of the
         built config that has a field of that name."""
