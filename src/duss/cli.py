@@ -287,8 +287,11 @@ def cmd_evaluate(args) -> int:
         (ref_wave, ref_cep), (syn_wave, syn_cep) = (
             _measured_wav(os.path.join(base, entry.audio_path))
             for base, entry in ((ref_base, ref_entry), (syn_base, syn_entry)))
-        mcd_db = metrics.mcd(ref_cep, syn_cep)
-        f0_result = metrics.log_f0_rmse(dsp.estimate_f0(ref_wave), dsp.estimate_f0(syn_wave))
+        try:
+            mcd_db = metrics.mcd(ref_cep, syn_cep)
+            f0_result = metrics.log_f0_rmse(dsp.estimate_f0(ref_wave), dsp.estimate_f0(syn_wave))
+        except DataError as exc:
+            raise DataError(f"{ref_entry.id}: {exc}") from None
         if f0_result.no_overlap:
             _diag("warning", message=f"{ref_entry.id}: no shared voiced frames")
         rows.append({"id": ref_entry.id, "mcd_db": mcd_db,

@@ -130,25 +130,37 @@ def nearest_code(vectors: np.ndarray, frames: np.ndarray) -> np.ndarray:
     """Index of the nearest code vector per frame; ties go to the lowest index."""
     # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2; the ||x||^2 term is constant
     # per frame and does not affect the argmin.
-    scores = -2.0 * frames @ vectors.T + np.sum(vectors * vectors, axis=1)
+    scores = -2.0 * frames @ vectors.T
+    scores += np.sum(vectors * vectors, axis=1)
     return np.argmin(scores, axis=1)
 
 
 def kmeans_pp_init(frames: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: D^2-weighted draws from the data."""
-    n = frames.shape[0]
-    centers = np.empty((k, frames.shape[1]))
+    """k-means++ seeding: D^2-weighted draws from the data.
+
+    Each draw updates d2 = min(d2, ||x - c||^2) exactly on the rows whose
+    expansion ||x||^2 + ||c||^2 - 2 x.c is NaN or within its float64 error
+    bound, slack * (||x||^2 + ||c||^2 + tiny), of d2. No other row could
+    lower its d2, so the centres are those of the plain loop bit for bit."""
+    n, dim = frames.shape
+    slack = 4 * (dim + 2) * np.finfo(float).eps
+    tiny = np.finfo(float).tiny
+    centers = np.empty((k, dim))
     centers[0] = frames[rng.integers(n)]
-    d2 = np.sum((frames - centers[0]) ** 2, axis=1)
-    for j in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            idx = int(rng.integers(n))
-        else:
-            cdf = (d2 / total).cumsum()  # rng.choice(n, p=d2 / total) without its check of p
-            idx = int((cdf / cdf[-1]).searchsorted(rng.random(), side="right"))
-        centers[j] = frames[idx]
-        d2 = np.minimum(d2, np.sum((frames - centers[j]) ** 2, axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.sum(frames * frames, axis=1)
+        d2 = np.sum((frames - centers[0]) ** 2, axis=1)
+        for j in range(1, k):
+            total = d2.sum()
+            if total <= 0:
+                idx = int(rng.integers(n))
+            else:
+                cdf = (d2 / total).cumsum()  # rng.choice(n, p=d2 / total) without its check of p
+                idx = int((cdf / cdf[-1]).searchsorted(rng.random(), side="right"))
+            centers[j] = c = frames[idx]
+            s = sq + sq[idx]
+            rows = np.flatnonzero(~(s - 2.0 * (frames @ c) > d2 + slack * (s + tiny)))
+            d2[rows] = np.minimum(d2[rows], np.sum((frames[rows] - c) ** 2, axis=1))
     return centers
 
 

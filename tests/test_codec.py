@@ -1,12 +1,19 @@
-"""Quantizer checks: nearest-code lookup, staged k-means training,
-encode/decode round trips, and the per-stage quantization report."""
+"""Quantizer checks: nearest-code lookup and its memory, the error bound the
+k-means++ seeding filter rests on, staged k-means training and its
+independence of the BLAS thread count, encode/decode round trips, and the
+per-stage quantization report."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from duss import codec as cd
 from duss import dsp
@@ -43,6 +50,76 @@ class TestNearestCode:
         vectors[7, 0] = 30.0  # codes 2 (=20) and 7 (=30) straddle 25
         frames = np.array([[25.0]])
         assert cd.nearest_code(vectors, frames)[0] == 2
+
+    def test_scores_hold_one_frames_by_codes_matrix(self):
+        """At vocoder size (2680 frames of 80 mels, 1024 codes) the scores are
+        built in place: the peak stays below 1.25 N x V float64 matrices."""
+        rng = np.random.default_rng(0)
+        frames, vectors = rng.normal(size=(2680, 80)), rng.normal(size=(1024, 80))
+        tracemalloc.start()
+        try:
+            cd.nearest_code(vectors, frames)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 2680 * 1024 * 8
+
+
+@st.composite
+def rows_and_centre(draw):
+    """Rows and a centre on one drawn scale, from 1e100 down to where squares
+    underflow into subnormals; the last row lies near the centre, where the
+    expansion cancels."""
+    dim = draw(st.integers(1, 100))
+    scale = draw(st.sampled_from([1e100, 1e20, 1.0, 1e-20, 1e-155, 1e-160, 1e-165]))
+    unit = st.floats(-1.0, 1.0)
+    centre = scale * draw(hnp.arrays(np.float64, dim, elements=unit))
+    rows = scale * draw(hnp.arrays(np.float64, (draw(st.integers(0, 6)), dim), elements=unit))
+    near = centre + scale * draw(st.sampled_from([1e-8, 1e-3, 1.0])) * draw(
+        hnp.arrays(np.float64, dim, elements=unit))
+    return np.vstack([rows, near]), centre
+
+
+class TestSeedingBound:
+    @given(rows_and_centre())
+    @settings(max_examples=200, deadline=None)
+    def test_expansion_is_within_slack_of_exact_distance(self, case):
+        """kmeans_pp_init skips a row only when ||x||^2 + ||c||^2 - 2 x.c
+        exceeds d2 by more than slack * (||x||^2 + ||c||^2 + tiny); that is
+        safe because the expansion is never further than this from the exact
+        sum of squared differences."""
+        frames, centre = case
+        slack = 4 * (frames.shape[1] + 2) * np.finfo(float).eps
+        sq, sq_c = np.sum(frames * frames, axis=1), np.sum(centre * centre)
+        expanded = sq + sq_c - 2.0 * (frames @ centre)
+        exact = np.sum((frames - centre) ** 2, axis=1)
+        assert np.all(np.abs(expanded - exact)
+                      <= slack * (sq + sq_c + np.finfo(float).tiny))
+
+
+TRAIN_AND_SAVE = """
+import sys
+import numpy as np
+from duss import codec, containers, dsp
+rng = np.random.default_rng(0)
+fm = dsp.FeatureMatrix(rng.normal(size=(1500, 40)), 100, dsp.FeatureKind.MEL_SPECTROGRAM)
+cfg = codec.CodecConfig(codebook_size=256, num_quantizers=2, feature_dim=40, kmeans_iters=5)
+containers.save_codec(sys.argv[1], codec.train_codebooks(fm, cfg))
+"""
+
+
+def test_training_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """train_codebooks on fixed features writes the same codec under one and
+    two OpenBLAS threads."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    written = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"threads{threads}.codec"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", TRAIN_AND_SAVE, str(path)], env=env, check=True)
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
 
 
 class TestTraining:

@@ -387,7 +387,8 @@ class TestReporting:
         rc, stdout, out, events = evaluate_pair(tmp_path, capsys)
         assert (rc, stdout, out.exists()) == (2, [], False)
         (event,) = events
-        assert event["kind"] == "data" and event["message"].endswith("-cell limit")
+        assert event["kind"] == "data"
+        assert event["message"] == "a: DTW of 17 x 17 frames exceeds the 100-cell limit"
 
     def test_table_column_order(self, tmp_path, capsys):
         rc, stdout, out, _ = evaluate_pair(tmp_path, capsys)

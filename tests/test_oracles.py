@@ -2,7 +2,7 @@
 per-frame log-mel analysis, the exp/angle Griffin-Lim loop, a plain DP and a
 row-by-row loop for the DTW, the both/neither log-F0 cost matrix, a per-frame
 YIN loop, brute-force nearest codes
-for encoding, a dict-counted n-gram table, and the top-k ∩ nucleus candidate
+for encoding, the full-distance k-means++ loop, a dict-counted n-gram table, and the top-k ∩ nucleus candidate
 set for every drawn token. Faster rewrites of these paths must keep these
 properties."""
 
@@ -18,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import signal as sps
 
 from duss import dsp, metrics, sampler, toylm
-from duss.codec import Codebook, CodecConfig, RvqCodec, TokenSequence, encode
+from duss.codec import Codebook, CodecConfig, RvqCodec, TokenSequence, encode, kmeans_pp_init
 from duss.dsp import FeatureKind, FeatureMatrix
 
 from conftest import FRAME_RATE
@@ -398,6 +398,68 @@ def test_encode_picks_brute_force_nearest_code(case):
             nearest = dists.index(min(dists))
             assert seq.tokens[s, t] == nearest, (s, t, dists)
             residual = residual - stage.vectors[nearest]
+
+
+def reference_kmeans_pp_init(frames, k, rng):
+    """k-means++ seeding that recomputes every row's squared distance to each
+    new centre."""
+    n = frames.shape[0]
+    centers = np.empty((k, frames.shape[1]))
+    centers[0] = frames[rng.integers(n)]
+    d2 = np.sum((frames - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            idx = int(rng.integers(n))
+        else:
+            cdf = (d2 / total).cumsum()
+            idx = int((cdf / cdf[-1]).searchsorted(rng.random(), side="right"))
+        centers[j] = frames[idx]
+        d2 = np.minimum(d2, np.sum((frames - centers[j]) ** 2, axis=1))
+    return centers
+
+
+@st.composite
+def seeding_inputs(draw):
+    """(frames, k, seed): random values, duplicated rows with k above the
+    number of distinct rows, all rows identical, or a large common offset
+    under which ||x||^2 + ||c||^2 - 2 x.c cancels."""
+    kind = draw(st.sampled_from(["random", "duplicates", "identical", "offset"]))
+    dim, seed = draw(st.integers(1, 12)), draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        frames = draw(hnp.arrays(np.float64, (draw(st.integers(1, 40)), dim),
+                                 elements=st.floats(-1e6, 1e6)))
+    elif kind == "duplicates":
+        distinct = draw(st.integers(1, 6))
+        n = draw(st.integers(distinct + 1, 40))
+        frames = rng.normal(size=(distinct, dim))[rng.permutation(n) % distinct]
+        return frames, draw(st.integers(distinct + 1, n)), seed
+    elif kind == "identical":
+        frames = np.tile(rng.normal(size=dim), (draw(st.integers(1, 40)), 1))
+    else:
+        offset = draw(st.floats(1e3, 1e6))
+        frames = offset + rng.normal(scale=draw(st.sampled_from([1e-6, 1e-3, 1.0])),
+                                     size=(draw(st.integers(1, 40)), dim))
+    return frames, draw(st.integers(1, frames.shape[0])), seed
+
+
+@given(seeding_inputs())
+# ||x||^2 overflows to inf, so the expansion is NaN while the exact distances stay finite.
+@example((1e155 * (1.0 + 1e-12 * np.random.default_rng(0).normal(size=(40, 3))), 12, 0))
+# Squares underflow into subnormals, whose absolute rounding the relative slack misses.
+@example((1e-162 * np.array([[-4.0, -4.0], [2, 5], [-5, 5], [6, 4], [-7, 7], [-7, 4], [-8, 3]]),
+          6, 980))
+@settings(max_examples=200, deadline=None)
+@pytest.mark.filterwarnings("error")
+def test_kmeans_pp_init_matches_loop_bit_for_bit(case):
+    """The filtered seeding picks the loop's centres and leaves the generator
+    in the loop's state."""
+    frames, k, seed = case
+    fast_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert np.array_equal(kmeans_pp_init(frames, k, fast_rng),
+                          reference_kmeans_pp_init(frames, k, loop_rng))
+    assert fast_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
 def count_table(corpora, order, stop):
